@@ -8,10 +8,9 @@ x*g vs y*g over single letters g is complete for a given total length bound.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
+from itertools import combinations
 
-from .errors import CapExceededError
 from .presentation import Presentation, Relation, Word
 from .rewrite import DEFAULT_CAP, engine, equal, _require_homogeneous
 
@@ -38,48 +37,24 @@ def search_failures(
 ) -> list[CancellationFailure]:
     """All single-letter cancellation failures with product length <= max_len.
 
-    Pairs (x, y) run over canonical representatives of distinct classes of
-    equal length; when the presentation is letter-balanced only pairs with
-    matching letter multisets can collide, which prunes the quadratic scan
-    drastically.
+    For each length n and context letter g, the class tables group the
+    length-n classes by the class of g*x (left) and of x*g (right); every
+    two classes in one group are a failure, so no pair of classes is ever
+    compared.  ``cap`` bounds closures only, and this search builds none.
     """
     _require_homogeneous(p)
     eng = engine(p)
     failures: list[CancellationFailure] = []
     # one context letter per letter class: equal letters cancel identically
-    contexts = sorted({min(eng.closure(g, cap)) for g in eng.chars})
+    contexts = eng.canonicals_at(1)
     for n in range(1, max_len):
-        try:
-            part_prod = eng.partition(n + 1, cap)
-            canons = eng.canonicals_at(n, cap)
-        except CapExceededError as e:
-            e.args = (
-                f"{e.args[0]}; search covered products up to length {n}",
-            )
-            raise
-        if eng.balanced:
-            buckets = defaultdict(list)
-            for c in canons:
-                buckets["".join(sorted(c))].append(c)
-            groups = [b for b in buckets.values() if len(b) > 1]
-        else:
-            groups = [list(canons)]
-        for group in groups:
-            for i, x in enumerate(group):
-                for y in group[i + 1:]:
-                    for g in contexts:
-                        if part_prod[g + x] == part_prod[g + y]:
-                            failures.append(
-                                CancellationFailure(
-                                    "left", eng.decode(g), eng.decode(x), eng.decode(y)
-                                )
-                            )
-                        if part_prod[x + g] == part_prod[y + g]:
-                            failures.append(
-                                CancellationFailure(
-                                    "right", eng.decode(g), eng.decode(x), eng.decode(y)
-                                )
-                            )
+        canons = eng.canonicals_at(n)
+        for side in ("left", "right"):
+            for g in contexts:
+                for group in eng.collisions(n, g, side):
+                    for x, y in combinations(group, 2):
+                        x_word, y_word = eng.decode(canons[x]), eng.decode(canons[y])
+                        failures.append(CancellationFailure(side, eng.decode(g), x_word, y_word))
     key = p.word_key
     failures.sort(key=lambda f: (len(f.x), f.side, key(f.context), key(f.x), key(f.y)))
     return failures

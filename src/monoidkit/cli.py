@@ -34,7 +34,6 @@ from .groupwords import center_scan, group_equal, parse_signed_word
 from .presentation import (
     Presentation,
     Word,
-    classify,
     fixture,
     fixture_names,
     format_word,
@@ -166,22 +165,21 @@ def _sorted_words(p: Presentation, words) -> list[Word]:
 
 
 def _do_parse(args, p):
-    c = classify(p)
     rels = [[_wl(r.lhs), _wl(r.rhs)] for r in p.relations]
     payload = {
         "letters": list(p.letters),
         "relation_count": len(p.relations),
-        "homogeneous": c.homogeneous,
-        "letter_balanced": c.letter_balanced,
-        "dummy_letters": sorted(c.dummy_letters),
+        "homogeneous": p.homogeneous,
+        "letter_balanced": p.letter_balanced,
+        "dummy_letters": sorted(p.dummy_letters),
         "relations": rels,
     }
     lines = [
         f"letters: {' '.join(p.letters)}",
         f"relations: {len(p.relations)}",
-        f"homogeneous: {c.homogeneous}",
-        f"letter_balanced: {c.letter_balanced}",
-        f"dummy_letters: {sorted(c.dummy_letters) or '{}'}",
+        f"homogeneous: {p.homogeneous}",
+        f"letter_balanced: {p.letter_balanced}",
+        f"dummy_letters: {sorted(p.dummy_letters) or '{}'}",
     ]
     return payload, lines, {"cap": args.cap}, 0
 

@@ -76,8 +76,7 @@ def _cm_raw(js: list[str], eng, max_len: int, cap: int) -> list[str]:
     min_len = max(len(j) for j in js)
     need = [Counter(j) for j in js] if eng.balanced else None
     for n in range(min_len, max_len + 1):
-        eng.partition(n, cap)
-        for canon in eng.canonicals_at(n, cap):
+        for canon in eng.canonicals_at(n):
             if need is not None:
                 have = Counter(canon)
                 # a left divisor's letters are a sub-multiset of the multiple's

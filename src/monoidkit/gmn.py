@@ -16,7 +16,7 @@ division laws which together give left cancellativity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 
 from .presentation import Presentation, Relation, Word, expand_cyclic
 from .rewrite import DEFAULT_CAP, engine
@@ -265,39 +265,16 @@ def _fam_chars(ctx: GmnContext, eng, family: int) -> tuple[str, ...]:
     return tuple(eng.encode((x,)) for x in letters)
 
 
-def _quot_chars(ctx: GmnContext, eng, family: int, run: str) -> str:
-    """delta_quotient on char-encoded runs."""
-    return eng.encode(delta_quotient(ctx, family, eng.decode(run)))
-
-
-def _split_run_chars(chars: tuple[str, ...], w: str) -> tuple[str, str]:
-    pos = {c: i for i, c in enumerate(chars)}
-    start = len(w) - 1
-    while start > 0 and pos[w[start - 1]] + 1 == pos[w[start]]:
-        start -= 1
-    return w[:start], w[start:]
-
-
 def _check_case_i(ctx, eng, max_len, cap):
     instances = 0
     violations = []
     for r in range(1, max_len):
-        part = eng.partition(r + 1, cap)
-        canons = eng.canonicals_at(r, cap)
-        if eng.balanced:
-            buckets: dict[str, list[str]] = {}
-            for c in canons:
-                buckets.setdefault("".join(sorted(c)), []).append(c)
-            groups = list(buckets.values())
-        else:
-            groups = [list(canons)]
-        for group in groups:
-            for i, x in enumerate(group):
-                for y in group[i + 1 :]:
-                    for v in eng.chars:
-                        if part[v + x] == part[v + y]:
-                            instances += 1
-                            violations.append((v + x, v + y))
+        canons = eng.canonicals_at(r)
+        for v in eng.chars:
+            for group in eng.collisions(r, v, "left"):
+                for x, y in combinations(group, 2):
+                    instances += 1
+                    violations.append((v + canons[x], v + canons[y]))
     return instances, violations
 
 
@@ -307,8 +284,7 @@ def _check_case_ii(ctx, eng, max_len, cap):
     instances = 0
     violations = []
     for r in range(1, max_len):
-        part_r = eng.partition(r, cap)
-        for canon in eng.canonicals_at(r + 1, cap):
+        for canon in eng.canonicals_at(r + 1):
             cls = eng.closure(canon, cap)
             t_starts: dict[str, set[str]] = {}
             u_starts: dict[str, set[str]] = {}
@@ -322,22 +298,32 @@ def _check_case_ii(ctx, eng, max_len, cap):
                 for uj, ys in sorted(u_starts.items()):
                     for x in sorted(xs):
                         zs = {m2[1:] for m2 in eng.closure(x, cap) if m2.startswith(uj)}
+                        reached = {eng.class_of(ti + z) for z in zs}
                         for y in sorted(ys):
                             instances += 1
-                            if not any(part_r[ti + z] == y for z in zs):
+                            if eng.class_of(y) not in reached:
                                 violations.append((ti + x, uj + y))
     return instances, violations
 
 
-def _leading_splits(eng, cls, fam_set, cap):
-    """Distinct (one-family prefix, canonical rest) splits over a class."""
-    out = set()
+def _leading_splits(ctx, eng, cls, fam_set, family, cap, runs):
+    """Distinct (one-family prefix w, canonical rest y) splits over a class,
+    sorted, each with the tail-run complement of w, the delta quotient of its
+    tail run (both char-encoded, memoised per w in ``runs``) and the class id
+    of y."""
+    pairs = set()
     for mem in cls:
         k = 0
         while k < len(mem) and mem[k] in fam_set:
             k += 1
         for j in range(1, k + 1):
-            out.add((mem[:j], min(eng.closure(mem[j:], cap))))
+            pairs.add((mem[:j], min(eng.closure(mem[j:], cap))))
+    out = []
+    for w, y in sorted(pairs):
+        if w not in runs:
+            rest, run = split_tail_run(ctx, eng.decode(w))
+            runs[w] = (eng.encode(rest), eng.encode(delta_quotient(ctx, family, run)))
+        out.append((w, y, *runs[w], eng.class_of(y)))
     return out
 
 
@@ -346,27 +332,25 @@ def _check_case_iii(ctx, eng, max_len, cap, family):
     fam = _fam_chars(ctx, eng, family)
     fam_set = set(fam)
     quot_by_s = "".join(fam)  # quotient of delta_family by the letter s
+    runs = {}
     instances = 0
     violations = []
     for n in range(2, max_len + 1):
-        for canon in eng.canonicals_at(n, cap):
+        for canon in eng.canonicals_at(n):
             cls = eng.closure(canon, cap)
             xs = {min(eng.closure(mem[1:], cap)) for mem in cls if mem[0] == s_char}
             if not xs:
                 continue
-            splits = _leading_splits(eng, cls, fam_set, cap)
+            splits = _leading_splits(ctx, eng, cls, fam_set, family, cap, runs)
             if not splits:
                 continue
             for x in sorted(xs):
                 xcls = eng.closure(x, cap)
-                for w, y in sorted(splits):
+                for w, y, rest, p2, y_class in splits:
                     instances += 1
-                    rest, run = _split_run_chars(fam, w)
                     p1 = quot_by_s + rest
-                    p2 = _quot_chars(ctx, eng, family, run)
                     zs = {m2[len(p1):] for m2 in xcls if m2.startswith(p1)}
-                    part_h = eng.partition(n - len(w), cap)
-                    if not any(part_h[p2 + z] == y for z in zs):
+                    if not any(eng.class_of(p2 + z) == y_class for z in zs):
                         violations.append((s_char + x, w + y))
     return instances, violations
 
@@ -377,10 +361,11 @@ def _check_case_v(ctx, eng, max_len, cap, family):
     fam_set = set(fam)
     full_other = "".join(other)
     size = len(fam)
+    runs = {}
     instances = 0
     violations = []
     for n in range(2, max_len + 1):
-        for canon in eng.canonicals_at(n, cap):
+        for canon in eng.canonicals_at(n):
             cls = eng.closure(canon, cap)
             starts: dict[str, set[str]] = {}
             for mem in cls:
@@ -388,17 +373,14 @@ def _check_case_v(ctx, eng, max_len, cap, family):
                     starts.setdefault(mem[0], set()).add(min(eng.closure(mem[1:], cap)))
             if not starts:
                 continue
-            splits = _leading_splits(eng, cls, fam_set, cap)
+            splits = _leading_splits(ctx, eng, cls, fam_set, family, cap, runs)
             for tc, xs in sorted(starts.items()):
-                d1ti = _quot_chars(ctx, eng, family, tc)
-                usable = [(w, y) for w, y in sorted(splits) if w[0] != tc]
+                d1ti = eng.encode(delta_quotient(ctx, family, eng.decode(tc)))
+                usable = [split for split in splits if split[0][0] != tc]
                 for x in sorted(xs):
                     xcls = eng.closure(x, cap)
-                    for w, y in usable:
+                    for w, y, rest, p2, y_class in usable:
                         instances += 1
-                        rest, run = _split_run_chars(fam, w)
-                        p2 = _quot_chars(ctx, eng, family, run)
-                        part_h = eng.partition(n - len(w), cap)
                         max_ku = (n - 1) - size - len(rest)
                         found = False
                         for ku in range(0, max_ku + 1):
@@ -410,7 +392,7 @@ def _check_case_v(ctx, eng, max_len, cap, family):
                                 zs = {
                                     m2[len(p1):] for m2 in xcls if m2.startswith(p1)
                                 }
-                                if any(part_h[wu + p2 + z] == y for z in zs):
+                                if any(eng.class_of(wu + p2 + z) == y_class for z in zs):
                                     found = True
                                     break
                             if found:

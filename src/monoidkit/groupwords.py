@@ -181,14 +181,14 @@ def center_scan(p: Presentation, max_len: int, cap: int = DEFAULT_CAP) -> frozen
     """Canonical classes of length <= max_len commuting with every generator.
 
     Commuting with the generators suffices for centrality since they generate
-    the monoid.  The empty word is always reported.
+    the monoid.  The empty word is always reported.  Classes are compared
+    through the class tables, so ``cap`` (which bounds closures) is not used.
     """
     _require_homogeneous(p)
     eng = engine(p)
     central = []
     for n in range(0, max_len + 1):
-        part = eng.partition(n + 1, cap)
-        for canon in eng.canonicals_at(n, cap):
-            if all(part[canon + g] == part[g + canon] for g in eng.chars):
+        for canon in eng.canonicals_at(n):
+            if all(eng.class_of(canon + g) == eng.class_of(g + canon) for g in eng.chars):
                 central.append(canon)
     return frozenset(eng.decode(c) for c in central)

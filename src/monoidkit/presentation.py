@@ -124,18 +124,6 @@ class Presentation:
         return frozenset(out)
 
 
-@dataclass(frozen=True)
-class Classification:
-    homogeneous: bool
-    letter_balanced: bool
-    dummy_letters: frozenset[str]
-
-
-def classify(p: Presentation) -> Classification:
-    """Classification flags of a presentation (always succeeds)."""
-    return Classification(p.homogeneous, p.letter_balanced, p.dummy_letters)
-
-
 def expand_cyclic(letters: Sequence[str]) -> tuple[Relation, ...]:
     """Relations equating all k rotations of the product of ``letters``.
 

@@ -11,14 +11,23 @@ rewriting system, so there is no normal form to reduce to.
 Internally words are encoded as strings over chr(0..n-1) with character order
 matching alphabet declaration order; substring search and slicing then run at
 C speed and the lexicographic minimum of a class doubles as its canonical
-representative.  Engines cache completed classes per presentation instance;
-lookups are pure and inserts idempotent, so concurrent readers are fine.
+representative.
+
+Point queries (equality, canonical forms, divisibility) close over one class
+and cache it per engine.  Whole-length enumeration instead builds graded class
+tables, level by level as in the right Cayley graph construction of Froidure
+and Pin (1997): a class of length m+1 is a union-find component of the nodes
+(length-m class, last letter), and two nodes are joined only by a relation
+instance that ends at the last letter, because every other substitution stays
+inside the prefix class.  Each level keeps a ``class id x letter -> class id``
+table and the lex-min word of every class, with ids in canonical order; no
+level ever lists its |A|^n words.  Lookups are pure and inserts idempotent, so
+concurrent readers are fine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .errors import CapExceededError, NonHomogeneousError
 from .presentation import Presentation, Word
@@ -68,7 +77,10 @@ class RewriteEngine:
         self.rules: tuple[tuple[str, str], ...] = tuple(sorted(directed))
         self.balanced = p.letter_balanced
         self._classes: dict[str, frozenset[str]] = {}
-        self._partitions: dict[int, dict[str, str]] = {}
+        # _tables[m][c * |A| + a]: class of (class c of length m) * letter a;
+        # _canons[m][c]: the lex-min word of class c of length m
+        self._tables: list[list[int]] = []
+        self._canons: list[tuple[str, ...]] = [("",)]
 
     # -- encoding -----------------------------------------------------------
 
@@ -177,26 +189,73 @@ class RewriteEngine:
     def canonical_raw(self, w: str, cap: int = DEFAULT_CAP) -> str:
         return min(self.closure(w, cap))
 
-    # -- exhaustive enumeration by length ------------------------------------
+    # -- graded class tables --------------------------------------------------
 
-    def partition(self, n: int, cap: int = DEFAULT_CAP) -> dict[str, str]:
-        """Map every length-n word to its canonical representative."""
-        part = self._partitions.get(n)
-        if part is not None:
-            return part
-        part = {}
-        for tup in product(self.chars, repeat=n):
-            w = "".join(tup)
-            if w not in part:
-                cls = self.closure(w, cap)
-                canon = min(cls)
-                for m in cls:
-                    part[m] = canon
-        self._partitions[n] = part
-        return part
+    def partition(self, n: int) -> tuple[str, ...]:
+        """Build the class tables up to length n; the canonical words of the
+        length-n classes, indexed by class id (so in increasing order)."""
+        _require_homogeneous(self.presentation)
+        while len(self._canons) <= n:
+            self._extend()
+        return self._canons[n]
 
-    def canonicals_at(self, n: int, cap: int = DEFAULT_CAP) -> tuple[str, ...]:
-        return tuple(sorted(set(self.partition(n, cap).values())))
+    def canonicals_at(self, n: int) -> tuple[str, ...]:
+        """The same tuple as partition(n); bench/tracing.py times both names."""
+        return self.partition(n)
+
+    def _extend(self) -> None:
+        m = len(self._canons) - 1
+        k = len(self.chars)
+        prev = self._canons[m]
+        parent = list(range(len(prev) * k))  # node c * k + a stands for prev[c] + a
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            return x
+
+        for pat, rep in self.rules:
+            if pat > rep or len(pat) > m + 1:
+                continue  # each relation once, and only when it fits
+            for u in self._canons[m + 1 - len(pat)]:
+                ra = find(self.class_of(u + pat[:-1]) * k + ord(pat[-1]))
+                rb = find(self.class_of(u + rep[:-1]) * k + ord(rep[-1]))
+                parent[ra] = rb
+        # nodes run in lex order of their words, so the first node met of each
+        # component carries its lex-min word and ids come out in canonical order
+        label = [-1] * len(parent)
+        table = []
+        words = []
+        for node in range(len(parent)):
+            root = find(node)
+            if label[root] < 0:
+                label[root] = len(words)
+                words.append(prev[node // k] + self.chars[node % k])
+            table.append(label[root])
+        # slice stores keep a racing build of the same level idempotent; the
+        # table goes first, since readers size the tables by _canons
+        self._tables[m:m + 1] = [table]
+        self._canons[m + 1:m + 2] = [tuple(words)]
+
+    def class_of(self, w: str) -> int:
+        """Id of the class of w among the classes of its length."""
+        if len(w) >= len(self._canons):
+            self.partition(len(w))
+        k = len(self.chars)
+        c = 0
+        for table, ch in zip(self._tables, w):
+            c = table[c * k + ord(ch)]
+        return c
+
+    def collisions(self, n: int, g: str, side: str) -> list[list[int]]:
+        """Length-n class ids that the map x -> g*x (side "left") or x -> x*g
+        (side "right") sends to one class: each group in increasing order,
+        groups of one left out."""
+        groups: dict[int, list[int]] = {}
+        for x, w in enumerate(self.partition(n)):
+            image = self.class_of(g + w if side == "left" else w + g)
+            groups.setdefault(image, []).append(x)
+        return [group for group in groups.values() if len(group) > 1]
 
 
 def engine(p: Presentation) -> RewriteEngine:

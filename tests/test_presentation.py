@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 import monoidkit as mk
@@ -80,12 +82,10 @@ def test_expand_cyclic_size_and_closure(k):
 
 
 def test_classify(m6, p22):
-    c = mk.classify(m6)
-    assert c.homogeneous and c.letter_balanced and c.dummy_letters == frozenset()
-    c = mk.classify(p22)
-    assert c.homogeneous and c.letter_balanced and c.dummy_letters == frozenset()
+    for p in (m6, p22):
+        assert p.homogeneous and p.letter_balanced and p.dummy_letters == frozenset()
     dummy = Presentation(("a", "b"), (Relation(("a",), ("b",)),))
-    assert mk.classify(dummy).dummy_letters == frozenset({"a", "b"})
+    assert dummy.dummy_letters == frozenset({"a", "b"})
 
 
 def test_letter_balanced_means_anagram_sides():
@@ -141,3 +141,15 @@ def test_parse_word_and_format(m6, p22):
     assert mk.format_word(m6, ()) == "1"
     with pytest.raises(ParseError):
         mk.parse_word(m6, "xyz")
+
+
+def test_fixture_files_match_their_sources():
+    # each file under fixtures/ restates an embedded text or a built g(m,n)
+    expected = {name: mk.fixture(name) for name in mk.fixture_names()}
+    expected["g22"] = mk.build_gmn(2, 2).presentation
+    expected["g32"] = mk.build_gmn(3, 2).presentation
+    folder = Path(__file__).resolve().parent.parent / "fixtures"
+    files = sorted(f.name for f in folder.iterdir())
+    assert files == sorted(expected)
+    for name in files:
+        assert mk.parse_presentation((folder / name).read_text()) == expected[name], name

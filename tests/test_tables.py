@@ -1,0 +1,115 @@
+"""The graded class tables against the oracle and the known fingerprints."""
+
+import sys
+import threading
+from itertools import combinations
+
+from hypothesis import example, given, settings, strategies as st
+
+import monoidkit as mk
+from monoidkit.rewrite import engine
+
+from conftest import naive_partition
+
+
+@st.composite
+def presentations(draw):
+    """Homogeneous presentations on 2-3 letters, sides of 1-3 letters."""
+    letters = "abc"[: draw(st.integers(2, 3))]
+    relations = []
+    for n in draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)):
+        side = st.text(alphabet=letters, min_size=n, max_size=n).map(tuple)
+        relations.append(mk.Relation(draw(side), draw(side)))
+    return mk.Presentation(tuple(letters), tuple(relations))
+
+
+def oracle_classes(p, n):
+    """Length-n classes of the oracle as lists of words, lex-min first."""
+    groups = {}
+    for w, root in naive_partition(p, n).items():
+        groups.setdefault(root, []).append(w)
+    return [sorted(g, key=p.word_key) for g in groups.values()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(presentations())
+@example(mk.parse_presentation("generators: a b\nrelation: a = b\n"))
+@example(mk.parse_presentation("generators: a b\nrelation: ab = bb\n"))
+def test_tables_match_oracle(p):
+    eng = engine(p)
+    for n in range(5):
+        classes = oracle_classes(p, n)
+        canons = eng.canonicals_at(n)
+        assert len(canons) == len(classes)
+        for cls in classes:
+            ids = {eng.class_of(eng.encode(w)) for w in cls}
+            assert len(ids) == 1
+            assert eng.decode(canons[ids.pop()]) == cls[0]
+
+
+@settings(max_examples=30, deadline=None)
+@given(presentations())
+@example(mk.parse_presentation("generators: a b\nrelation: ab = bb\n"))
+def test_search_matches_oracle(p):
+    # every pair of distinct classes under every context letter, by the oracle
+    contexts = sorted({cls[0] for cls in oracle_classes(p, 1)}, key=p.word_key)
+    expected = set()
+    for n in range(1, 4):
+        prod = naive_partition(p, n + 1)
+        reps = sorted((cls[0] for cls in oracle_classes(p, n)), key=p.word_key)
+        for x, y in combinations(reps, 2):
+            for g in contexts:
+                if prod[g + x] == prod[g + y]:
+                    expected.add(mk.CancellationFailure("left", g, x, y))
+                if prod[x + g] == prod[y + g]:
+                    expected.add(mk.CancellationFailure("right", g, x, y))
+    found = mk.search_failures(p, 4)
+    assert len(found) == len(set(found))
+    assert set(found) == expected
+
+
+def test_class_count_fingerprints(m6, m6pc):
+    counts = {
+        m6: [1, 6, 30, 139, 624, 2761, 12144, 53274],
+        m6pc: [1, 6, 33, 174, 906, 4698, 24334, 125994],
+    }
+    for p, expected in counts.items():
+        eng = engine(p)
+        assert [len(eng.canonicals_at(n)) for n in range(8)] == expected
+
+
+def test_failure_count_fingerprints(m6):
+    assert len(mk.search_failures(m6, 6)) == 86
+    assert len(mk.search_failures(m6, 7)) == 642
+
+
+def test_class_of_walks_products(m6, rng):
+    # class ids are congruent: the class of u*v depends on u's class only
+    eng = engine(m6)
+    for _ in range(30):
+        u = eng.encode(tuple(rng.choice(m6.letters) for _ in range(3)))
+        v = eng.encode(tuple(rng.choice(m6.letters) for _ in range(2)))
+        twin = eng.canonicals_at(3)[eng.class_of(u)]
+        assert eng.class_of(u + v) == eng.class_of(twin + v)
+    assert eng.class_of("") == 0 and eng.canonicals_at(0) == ("",)
+
+
+def test_racing_level_builds_agree():
+    # threads that build the same levels at once must leave one set of tables
+    p = mk.fixture("M6")
+    eng = engine(p)
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=lambda: results.append(
+            [len(eng.canonicals_at(n)) for n in range(6)])) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [[1, 6, 30, 139, 624, 2761]] * 8
+    assert len(eng.canonicals_at(6)) == 12144
