@@ -2,15 +2,17 @@
 
 u left-divides v when v = u*w for some w in the monoid.  Because the literal
 concatenation u*w lies in the class of v whenever the equation holds, the
-test is a prefix scan over the full class of v: sound and complete.  Common
-multiples are found by scanning every equivalence class up to a length bound;
-in a homogeneous presentation proper divisors are strictly shorter, so the
-minimal elements reported within the bound are exact.
+point test is a prefix scan over the class of v: sound and complete.  Common
+multiples are whole-level questions and read the graded class tables instead:
+u left-divides a length-n class exactly when that class is the class of u*z
+for some length-(n - |u|) class z, and ``RewriteEngine.left_multiples`` lists
+those by a walk through the tables, so no class is closed over.  In a
+homogeneous presentation proper divisors are strictly shorter, so the minimal
+elements reported within the bound are exact.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -40,60 +42,51 @@ class McmReport:
     lcm_up_to_bound: Word | None
 
 
-def _quotient_canonicals(eng, cls, prefix: str, cap: int) -> set[str]:
-    quots = {m[len(prefix):] for m in cls if m.startswith(prefix)}
-    return {eng.canonical_raw(q, cap) for q in quots}
-
-
-def left_divides(u: Word, v: Word, p: Presentation, cap: int = DEFAULT_CAP) -> DivisionResult:
-    """Does u left-divide v?  Quotients are canonical forms of all w with v = u*w."""
+def _divides(u: Word, v: Word, p: Presentation, cap: int, side: str) -> DivisionResult:
     _require_homogeneous(p)
     eng = engine(p)
     a, b = eng.encode(u), eng.encode(v)
     if len(a) > len(b):
         return DivisionResult(False, frozenset())
-    quots = _quotient_canonicals(eng, eng.closure(b, cap), a, cap)
-    return DivisionResult(bool(quots), frozenset(eng.decode(q) for q in quots))
-
-
-def right_divides(u: Word, v: Word, p: Presentation, cap: int = DEFAULT_CAP) -> DivisionResult:
-    """Does u right-divide v (v = w*u)?  Mirror of left_divides on suffixes."""
-    _require_homogeneous(p)
-    eng = engine(p)
-    a, b = eng.encode(u), eng.encode(v)
-    if len(a) > len(b):
-        return DivisionResult(False, frozenset())
-    cut = len(b) - len(a)
-    quots = {m[:cut] for m in eng.closure(b, cap) if m.endswith(a)}
+    cls = eng.closure(b, cap)
+    if side == "left":
+        quots = {m[len(a):] for m in cls if m.startswith(a)}
+    else:
+        quots = {m[:len(b) - len(a)] for m in cls if m.endswith(a)}
     canons = {eng.canonical_raw(q, cap) for q in quots}
     return DivisionResult(bool(canons), frozenset(eng.decode(q) for q in canons))
 
 
-def _cm_raw(js: list[str], eng, max_len: int, cap: int) -> list[str]:
+def left_divides(u: Word, v: Word, p: Presentation, cap: int = DEFAULT_CAP) -> DivisionResult:
+    """Does u left-divide v?  Quotients are canonical forms of all w with v = u*w."""
+    return _divides(u, v, p, cap, "left")
+
+
+def right_divides(u: Word, v: Word, p: Presentation, cap: int = DEFAULT_CAP) -> DivisionResult:
+    """Does u right-divide v (v = w*u)?  Mirror of left_divides on suffixes."""
+    return _divides(u, v, p, cap, "right")
+
+
+def _cm_raw(js: list[str], eng, max_len: int) -> list[str]:
     if not js:
         raise ValueError("common multiples of an empty set are everything")
     found = []
-    min_len = max(len(j) for j in js)
-    need = [Counter(j) for j in js] if eng.balanced else None
-    for n in range(min_len, max_len + 1):
-        for canon in eng.canonicals_at(n):
-            if need is not None:
-                have = Counter(canon)
-                # a left divisor's letters are a sub-multiset of the multiple's
-                if any((req - have) for req in need):
-                    continue
-            cls = eng.closure(canon, cap)
-            if all(any(m.startswith(j) for m in cls) for j in js):
-                found.append(canon)
+    for n in range(max(len(j) for j in js), max_len + 1):
+        common = set.intersection(*(set(eng.left_multiples(j, n)) for j in js))
+        canons = eng.partition(n)
+        found.extend(canons[c] for c in sorted(common))
     return found
 
 
 def cm_r(J: Iterable[Word], p: Presentation, max_len: int, cap: int = DEFAULT_CAP) -> frozenset[Word]:
-    """Canonical forms of every element of length <= max_len that all of J left-divide."""
+    """Canonical forms of every element of length <= max_len that all of J left-divide.
+
+    ``cap`` bounds closures only, and this scan of the class tables builds none.
+    """
     _require_homogeneous(p)
     eng = engine(p)
     js = [eng.encode(j) for j in J]
-    return frozenset(eng.decode(c) for c in _cm_raw(js, eng, max_len, cap))
+    return frozenset(eng.decode(c) for c in _cm_raw(js, eng, max_len))
 
 
 def mcm_r(J: Iterable[Word], p: Presentation, max_len: int, cap: int = DEFAULT_CAP) -> McmReport:
@@ -101,23 +94,25 @@ def mcm_r(J: Iterable[Word], p: Presentation, max_len: int, cap: int = DEFAULT_C
 
     An element is minimal when no other common multiple properly left-divides
     it; proper divisors are strictly shorter here, so boundedness cannot
-    produce false minimals (it can only hide longer ones).
+    produce false minimals (it can only hide longer ones).  ``cap`` bounds
+    closures only, and this scan of the class tables builds none.
     """
     _require_homogeneous(p)
     eng = engine(p)
     js = [eng.encode(j) for j in J]
-    cm = _cm_raw(js, eng, max_len, cap)
-    minimal = []
-    for u in cm:
-        cls = eng.closure(u, cap)
-        shorter = (v for v in cm if len(v) < len(u))
-        if not any(any(m.startswith(v) for m in cls) for v in shorter):
-            minimal.append(u)
+    cm = _cm_raw(js, eng, max_len)
+    multiples: dict[tuple[str, int], set[int]] = {}
+
+    def divides(v: str, u: str) -> bool:
+        key = (v, len(u))
+        if key not in multiples:
+            multiples[key] = set(eng.left_multiples(*key))
+        return eng.class_of(u) in multiples[key]
+
+    minimal = [u for u in cm if not any(divides(v, u) for v in cm if len(v) < len(u))]
     lcm = None
-    if len(minimal) == 1:
-        v = minimal[0]
-        if all(any(m.startswith(v) for m in eng.closure(u, cap)) for u in cm):
-            lcm = v
+    if len(minimal) == 1 and all(divides(minimal[0], u) for u in cm):
+        lcm = minimal[0]
     return McmReport(
         bound=max_len,
         common_multiples=frozenset(eng.decode(c) for c in cm),

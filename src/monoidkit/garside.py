@@ -11,7 +11,7 @@ concrete words, which is a useful self-check of the whole divisor machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from functools import cache
 from math import lcm
 
 from .errors import NotFundamentalError
@@ -113,8 +113,9 @@ def verify_fundamental(
     cls = eng.closure(eng.encode(delta), cap)
 
     # Per atom: every left quotient class, and for each the letters x with
-    # quotient * x back in the class of delta.  Candidate pairs feed a
-    # bipartite matching that assembles sigma.
+    # quotient * x back in the class of delta.  sigma is a perfect matching of
+    # atoms to candidate letters; ways(i, used) counts the matchings of atoms
+    # i.. into the letters outside ``used``, memoised over the subsets.
     cand: dict[str, dict[str, str]] = {}
     for s in ats:
         c = eng.encode((s,))
@@ -136,17 +137,32 @@ def verify_fundamental(
             return None
         cand[s] = options
 
-    chosen: dict[str, str] | None = None
-    count = 0
-    for perm in permutations(ats):
-        if all(perm[i] in cand[s] for i, s in enumerate(ats)):
-            count += 1
-            if chosen is None:
-                chosen = {s: perm[i] for i, s in enumerate(ats)}
-    if chosen is None:
+    @cache
+    def ways(i: int, used: int) -> int:
+        if i == len(ats):
+            return 1
+        return sum(
+            ways(i + 1, used | 1 << j)
+            for j, x in enumerate(ats)
+            if not used >> j & 1 and x in cand[ats[i]]
+        )
+
+    count = ways(0, 0)
+    if count == 0:
         if strict:
             raise NotFundamentalError("no atom permutation fits the quotients")
         return None
+    # the first fitting target of each atom in turn: the lexicographically
+    # first sigma in atom order
+    chosen: dict[str, str] = {}
+    used = 0
+    for i, s in enumerate(ats):
+        j = next(
+            j for j, x in enumerate(ats)
+            if not used >> j & 1 and x in cand[s] and ways(i + 1, used | 1 << j)
+        )
+        chosen[s] = ats[j]
+        used |= 1 << j
     quotients = {
         s: eng.decode(eng.canonical_raw(cand[s][chosen[s]], cap)) for s in ats
     }

@@ -16,6 +16,7 @@ division laws which together give left cancellativity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations, product
 
 from .presentation import Presentation, Relation, Word, expand_cyclic
@@ -239,8 +240,10 @@ def check_division_law(
       vi   u_i X = w(u) Y, mirrored
 
     where D1s, D1t_i, D1C(w) abbreviate quotients of delta1 (delta2 for the
-    mirrored cases) by s, t_i and the tail run C(w).  Witness words Z are
-    searched through quotient classes, never by blind enumeration.
+    mirrored cases) by s, t_i and the tail run C(w).  Both sides of every
+    instance and every witness pair are read off the graded class tables
+    (``RewriteEngine.left_multiples``), never by blind enumeration; ``cap``
+    bounds closures only, and the check builds none.
     """
     if case not in CASES:
         raise ValueError(f"case must be one of {CASES}")
@@ -248,12 +251,12 @@ def check_division_law(
     handler = {
         "i": _check_case_i,
         "ii": _check_case_ii,
-        "iii": lambda c, e, L, cp: _check_case_iii(c, e, L, cp, family=1),
-        "iv": lambda c, e, L, cp: _check_case_iii(c, e, L, cp, family=2),
-        "v": lambda c, e, L, cp: _check_case_v(c, e, L, cp, family=1),
-        "vi": lambda c, e, L, cp: _check_case_v(c, e, L, cp, family=2),
+        "iii": partial(_check_case_iii, family=1),
+        "iv": partial(_check_case_iii, family=2),
+        "v": partial(_check_case_v, family=1),
+        "vi": partial(_check_case_v, family=2),
     }[case]
-    instances, raw = handler(ctx, eng, max_len, cap)
+    instances, raw = handler(ctx, eng, max_len)
     violations = tuple(
         DivisionLawViolation(case, eng.decode(a), eng.decode(b)) for a, b in raw
     )
@@ -265,7 +268,12 @@ def _fam_chars(ctx: GmnContext, eng, family: int) -> tuple[str, ...]:
     return tuple(eng.encode((x,)) for x in letters)
 
 
-def _check_case_i(ctx, eng, max_len, cap):
+def _words(letters: tuple[str, ...], lo: int, hi: int) -> list[str]:
+    """Every word over ``letters`` of length lo..hi, sorted."""
+    return sorted("".join(w) for k in range(lo, hi + 1) for w in product(letters, repeat=k))
+
+
+def _check_case_i(ctx, eng, max_len):
     instances = 0
     violations = []
     for r in range(1, max_len):
@@ -278,125 +286,94 @@ def _check_case_i(ctx, eng, max_len, cap):
     return instances, violations
 
 
-def _check_case_ii(ctx, eng, max_len, cap):
-    t_set = set(_fam_chars(ctx, eng, 1))
-    u_set = set(_fam_chars(ctx, eng, 2))
-    instances = 0
-    violations = []
-    for r in range(1, max_len):
-        for canon in eng.canonicals_at(r + 1):
-            cls = eng.closure(canon, cap)
-            t_starts: dict[str, set[str]] = {}
-            u_starts: dict[str, set[str]] = {}
-            for mem in cls:
-                c0 = mem[0]
-                if c0 in t_set:
-                    t_starts.setdefault(c0, set()).add(min(eng.closure(mem[1:], cap)))
-                elif c0 in u_set:
-                    u_starts.setdefault(c0, set()).add(min(eng.closure(mem[1:], cap)))
-            for ti, xs in sorted(t_starts.items()):
-                for uj, ys in sorted(u_starts.items()):
-                    for x in sorted(xs):
-                        zs = {m2[1:] for m2 in eng.closure(x, cap) if m2.startswith(uj)}
-                        reached = {eng.class_of(ti + z) for z in zs}
-                        for y in sorted(ys):
-                            instances += 1
-                            if eng.class_of(y) not in reached:
-                                violations.append((ti + x, uj + y))
-    return instances, violations
+def _check_law(eng, max_len, heads_x, heads_y, witnesses, heads_first=False):
+    """Instances of  a X = b Y  implies  X = p1 Z and Y = p2 Z  for some Z and
+    some (p1, p2) in witnesses(a, b, |X|), at total lengths 2..max_len.
 
+    a runs over heads_x and b over heads_y, both sorted; witnesses returns
+    None when (a, b) is no instance of the law.  a X and b Y meet when
+    left_multiples puts them in one class, and a witness pair holds when (X, Y)
+    is (class of p1 Z, class of p2 Z) for one Z.  Instances run by class of
+    the product, then (a, X), then (b, Y); with heads_first by a, b, X, Y.
+    """
+    multiples: dict[tuple[str, int], list[int]] = {}
 
-def _leading_splits(ctx, eng, cls, fam_set, family, cap, runs):
-    """Distinct (one-family prefix w, canonical rest y) splits over a class,
-    sorted, each with the tail-run complement of w, the delta quotient of its
-    tail run (both char-encoded, memoised per w in ``runs``) and the class id
-    of y."""
-    pairs = set()
-    for mem in cls:
-        k = 0
-        while k < len(mem) and mem[k] in fam_set:
-            k += 1
-        for j in range(1, k + 1):
-            pairs.add((mem[:j], min(eng.closure(mem[j:], cap))))
-    out = []
-    for w, y in sorted(pairs):
-        if w not in runs:
-            rest, run = split_tail_run(ctx, eng.decode(w))
-            runs[w] = (eng.encode(rest), eng.encode(delta_quotient(ctx, family, run)))
-        out.append((w, y, *runs[w], eng.class_of(y)))
-    return out
+    def mult(p: str, n: int) -> list[int]:
+        if (p, n) not in multiples:
+            multiples[p, n] = eng.left_multiples(p, n)
+        return multiples[p, n]
 
+    def by_class(heads, n):
+        groups: dict[int, list[tuple[str, int]]] = {}
+        for a in heads:
+            for x, c in enumerate(mult(a, n)):
+                groups.setdefault(c, []).append((a, x))
+        return groups
 
-def _check_case_iii(ctx, eng, max_len, cap, family):
-    s_char = eng.encode(("s",))
-    fam = _fam_chars(ctx, eng, family)
-    fam_set = set(fam)
-    quot_by_s = "".join(fam)  # quotient of delta_family by the letter s
-    runs = {}
     instances = 0
     violations = []
     for n in range(2, max_len + 1):
-        for canon in eng.canonicals_at(n):
-            cls = eng.closure(canon, cap)
-            xs = {min(eng.closure(mem[1:], cap)) for mem in cls if mem[0] == s_char}
-            if not xs:
-                continue
-            splits = _leading_splits(ctx, eng, cls, fam_set, family, cap, runs)
-            if not splits:
-                continue
-            for x in sorted(xs):
-                xcls = eng.closure(x, cap)
-                for w, y, rest, p2, y_class in splits:
-                    instances += 1
-                    p1 = quot_by_s + rest
-                    zs = {m2[len(p1):] for m2 in xcls if m2.startswith(p1)}
-                    if not any(eng.class_of(p2 + z) == y_class for z in zs):
-                        violations.append((s_char + x, w + y))
+        left, right = by_class(heads_x, n), by_class(heads_y, n)
+        reached: dict[tuple[str, str], set[tuple[int, int]] | None] = {}
+        for c in sorted(left.keys() & right.keys()):
+            pairs = list(product(left[c], right[c]))
+            if heads_first:
+                pairs.sort(key=lambda q: (q[0][0], q[1][0]))
+            for (a, x), (b, y) in pairs:
+                xlen, ylen = n - len(a), n - len(b)
+                if (a, b) not in reached:
+                    ws = witnesses(a, b, xlen)
+                    reached[a, b] = None if ws is None else {
+                        pair for p1, p2 in ws
+                        for pair in zip(mult(p1, xlen), mult(p2, ylen))
+                    }
+                if reached[a, b] is None:
+                    continue
+                instances += 1
+                if (x, y) not in reached[a, b]:
+                    violations.append(
+                        (a + eng.partition(xlen)[x], b + eng.partition(ylen)[y])
+                    )
     return instances, violations
 
 
-def _check_case_v(ctx, eng, max_len, cap, family):
+def _check_case_ii(ctx, eng, max_len):
+    ts, us = _fam_chars(ctx, eng, 1), _fam_chars(ctx, eng, 2)
+    return _check_law(eng, max_len, ts, us, lambda ti, uj, _: [(uj, ti)], heads_first=True)
+
+
+def _run_split(ctx, eng, family, w):
+    """The tail-run complement of w and the delta quotient of its tail run."""
+    rest, run = split_tail_run(ctx, eng.decode(w))
+    return eng.encode(rest), eng.encode(delta_quotient(ctx, family, run))
+
+
+def _check_case_iii(ctx, eng, max_len, family):
+    fam = _fam_chars(ctx, eng, family)
+    quot_by_s = "".join(fam)  # quotient of delta_family by the letter s
+
+    def witnesses(s, w, xlen):
+        rest, quot = _run_split(ctx, eng, family, w)
+        return [(quot_by_s + rest, quot)]
+
+    s_char = eng.encode(("s",))
+    return _check_law(eng, max_len, [s_char], _words(fam, 1, max_len), witnesses)
+
+
+def _check_case_v(ctx, eng, max_len, family):
     fam = _fam_chars(ctx, eng, family)
     other = _fam_chars(ctx, eng, 3 - family)
-    fam_set = set(fam)
     full_other = "".join(other)
-    size = len(fam)
-    runs = {}
-    instances = 0
-    violations = []
-    for n in range(2, max_len + 1):
-        for canon in eng.canonicals_at(n):
-            cls = eng.closure(canon, cap)
-            starts: dict[str, set[str]] = {}
-            for mem in cls:
-                if mem[0] in fam_set:
-                    starts.setdefault(mem[0], set()).add(min(eng.closure(mem[1:], cap)))
-            if not starts:
-                continue
-            splits = _leading_splits(ctx, eng, cls, fam_set, family, cap, runs)
-            for tc, xs in sorted(starts.items()):
-                d1ti = eng.encode(delta_quotient(ctx, family, eng.decode(tc)))
-                usable = [split for split in splits if split[0][0] != tc]
-                for x in sorted(xs):
-                    xcls = eng.closure(x, cap)
-                    for w, y, rest, p2, y_class in usable:
-                        instances += 1
-                        max_ku = (n - 1) - size - len(rest)
-                        found = False
-                        for ku in range(0, max_ku + 1):
-                            for tup in product(other, repeat=ku):
-                                wu = "".join(tup)
-                                if len(wu) >= len(full_other) and wu.endswith(full_other):
-                                    continue
-                                p1 = wu + d1ti + rest
-                                zs = {
-                                    m2[len(p1):] for m2 in xcls if m2.startswith(p1)
-                                }
-                                if any(eng.class_of(wu + p2 + z) == y_class for z in zs):
-                                    found = True
-                                    break
-                            if found:
-                                break
-                        if not found:
-                            violations.append((tc + x, w + y))
-    return instances, violations
+
+    def witnesses(ti, w, xlen):
+        if w[0] == ti:
+            return None  # t_i left-divides w(t)
+        rest, quot = _run_split(ctx, eng, family, w)
+        d1ti = eng.encode(delta_quotient(ctx, family, eng.decode(ti)))
+        return [
+            (wu + d1ti + rest, wu + quot)
+            for wu in _words(other, 0, xlen - len(d1ti) - len(rest))
+            if not wu.endswith(full_other)
+        ]
+
+    return _check_law(eng, max_len, fam, _words(fam, 1, max_len), witnesses)

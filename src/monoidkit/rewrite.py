@@ -107,6 +107,19 @@ class RewriteEngine:
         cached = self._classes.get(w)
         if cached is not None:
             return cached
+        return self._bfs(w, cap)
+
+    def closure_search(self, start: str, target: str, cap: int = DEFAULT_CAP) -> bool:
+        """Is ``target`` reachable from ``start``?  Early exit on success.
+
+        A completed unsuccessful search caches the full class as a side
+        effect; a successful one caches nothing (the set is partial).
+        """
+        return start == target or self._bfs(start, cap, target) is None
+
+    def _bfs(self, w: str, cap: int, target: str | None = None) -> frozenset[str] | None:
+        """Breadth-first closure of ``w``: None as soon as ``target`` turns up,
+        else the whole class, cached for every member."""
         seen = {w}
         frontier = [w]
         rules = self.rules
@@ -118,9 +131,13 @@ class RewriteEngine:
                     while i >= 0:
                         v = cur[:i] + rep + cur[i + len(pat):]
                         if v not in seen:
+                            if v == target:
+                                return None
                             if len(seen) >= cap:
                                 err = CapExceededError(
                                     f"class of a {len(w)}-letter word exceeded cap {cap}"
+                                    if target is None
+                                    else f"equality search exceeded cap {cap}"
                                 )
                                 err.raw_partial = frozenset(seen)
                                 raise err
@@ -133,43 +150,6 @@ class RewriteEngine:
         for m in cls:
             classes[m] = cls
         return cls
-
-    def closure_search(self, start: str, target: str, cap: int = DEFAULT_CAP) -> bool:
-        """Is ``target`` reachable from ``start``?  Early exit on success.
-
-        A completed unsuccessful search caches the full class as a side
-        effect; a successful one caches nothing (the set is partial).
-        """
-        if start == target:
-            return True
-        seen = {start}
-        frontier = [start]
-        rules = self.rules
-        while frontier:
-            nxt = []
-            for cur in frontier:
-                for pat, rep in rules:
-                    i = cur.find(pat)
-                    while i >= 0:
-                        v = cur[:i] + rep + cur[i + len(pat):]
-                        if v == target:
-                            return True
-                        if v not in seen:
-                            if len(seen) >= cap:
-                                err = CapExceededError(
-                                    f"equality search exceeded cap {cap}"
-                                )
-                                err.raw_partial = frozenset(seen)
-                                raise err
-                            seen.add(v)
-                            nxt.append(v)
-                        i = cur.find(pat, i + 1)
-            frontier = nxt
-        cls = frozenset(seen)
-        classes = self._classes
-        for m in cls:
-            classes[m] = cls
-        return False
 
     def equal_raw(self, a: str, b: str, cap: int = DEFAULT_CAP) -> bool:
         if a == b:
@@ -247,13 +227,24 @@ class RewriteEngine:
             c = table[c * k + ord(ch)]
         return c
 
+    def left_multiples(self, p: str, n: int) -> list[int]:
+        """Class id of p*z for each length-(n - |p|) class id z, in order of z;
+        empty when p is longer than n.  p left-divides exactly the classes
+        listed, and p1*Z, p2*Z pair up by index."""
+        if len(p) > n:
+            return []
+        return [self.class_of(p + z) for z in self.partition(n - len(p))]
+
     def collisions(self, n: int, g: str, side: str) -> list[list[int]]:
         """Length-n class ids that the map x -> g*x (side "left") or x -> x*g
         (side "right") sends to one class: each group in increasing order,
         groups of one left out."""
+        if side == "left":
+            images = self.left_multiples(g, n + len(g))
+        else:
+            images = [self.class_of(w + g) for w in self.partition(n)]
         groups: dict[int, list[int]] = {}
-        for x, w in enumerate(self.partition(n)):
-            image = self.class_of(g + w if side == "left" else w + g)
+        for x, image in enumerate(images):
             groups.setdefault(image, []).append(x)
         return [group for group in groups.values() if len(group) > 1]
 

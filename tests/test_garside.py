@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 
 import monoidkit as mk
@@ -88,3 +90,25 @@ def test_cross_check_on_cancellative(g22, p22, rng):
     for _ in range(12):
         w = random_word(rng, p22, 5)
         assert mk.cross_check_fundamental_garside(w, p22).consistent
+
+
+def test_sigma_count_when_every_permutation_fits():
+    # every length-2 word over a..e is equal, so each atom's quotients take
+    # every letter back to delta and all 5! permutations fit
+    letters = tuple("abcde")
+    rels = tuple(
+        Relation(("a", "a"), (x, y)) for x in letters for y in letters if (x, y) != ("a", "a")
+    )
+    p = Presentation(letters, rels)
+    delta = ("a", "a")
+    fits = sum(
+        all(
+            any(mk.equal((s, q), delta, p) and mk.equal((q, x), delta, p) for q in letters)
+            for s, x in zip(letters, perm)
+        )
+        for perm in permutations(letters)
+    )
+    cert = mk.verify_fundamental(delta, p)
+    assert fits == 120
+    assert cert.sigma_count == fits
+    assert cert.sigma == {x: x for x in letters}

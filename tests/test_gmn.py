@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 import monoidkit as mk
@@ -204,3 +206,33 @@ def test_division_law_checker_detects_case_ii_violation():
     rep = mk.check_division_law(ctx, "ii", 2)
     assert rep.instances == 1
     assert len(rep.violations) == 1
+
+
+def _with_relation(ctx, lhs, rhs):
+    # g(m,n) plus one extra relation: the laws fail in known numbers
+    p = ctx.presentation
+    extra = mk.Relation(tuple(lhs.split()), tuple(rhs.split()))
+    return replace(ctx, presentation=mk.Presentation(p.letters, p.relations + (extra,)))
+
+
+# (instances, violations) of cases i..vi at total length 5
+LAW_FINGERPRINTS = [
+    ((2, 2), None, [(0, 0), (432, 0), (121, 0), (121, 0), (173, 0), (173, 0)]),
+    ((3, 2), None, [(0, 0), (1074, 0), (57, 0), (156, 0), (138, 0), (261, 0)]),
+    ((2, 2), ("t2 t1", "u1 s"),
+     [(54, 54), (511, 123), (149, 31), (165, 48), (277, 113), (401, 231)]),
+    ((2, 2), ("u1 u2", "t2 u1"),
+     [(540, 540), (910, 519), (201, 83), (239, 129), (469, 299), (849, 679)]),
+]
+
+
+@pytest.mark.parametrize("mn,extra,expected", LAW_FINGERPRINTS)
+def test_division_law_fingerprints(mn, extra, expected):
+    ctx = mk.build_gmn(*mn)
+    if extra is not None:
+        ctx = _with_relation(ctx, *extra)
+    found = []
+    for case in mk.CASES:
+        rep = mk.check_division_law(ctx, case, 5)
+        found.append((rep.instances, len(rep.violations)))
+    assert found == expected

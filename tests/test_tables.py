@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 import monoidkit as mk
 from monoidkit.rewrite import engine
 
-from conftest import naive_partition
+from conftest import naive_left_divides, naive_partition
 
 
 @st.composite
@@ -66,6 +66,32 @@ def test_search_matches_oracle(p):
     found = mk.search_failures(p, 4)
     assert len(found) == len(set(found))
     assert set(found) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(presentations(), st.data())
+def test_common_multiples_match_oracle(p, data):
+    word = st.text(alphabet="".join(p.letters), max_size=2).map(tuple)
+    J = data.draw(st.lists(word, min_size=1, max_size=2))
+    bound = data.draw(st.integers(max(map(len, J)), 4))
+    common = [
+        cls[0]
+        for n in range(max(map(len, J)), bound + 1)
+        for cls in oracle_classes(p, n)
+        if all(naive_left_divides(j, cls[0], p) for j in J)
+    ]
+    minimal = [
+        u for u in common
+        if not any(len(v) < len(u) and naive_left_divides(v, u, p) for v in common)
+    ]
+    lcm = None
+    if len(minimal) == 1 and all(naive_left_divides(minimal[0], u, p) for u in common):
+        lcm = minimal[0]
+    assert mk.cm_r(J, p, bound) == set(common)
+    rep = mk.mcm_r(J, p, bound)
+    assert rep.common_multiples == set(common)
+    assert rep.minimal == set(minimal)
+    assert rep.lcm_up_to_bound == lcm
 
 
 def test_class_count_fingerprints(m6, m6pc):
