@@ -1,15 +1,35 @@
-"""Group word problem by lifting inverses through a central element.
+"""Group word problem through the fundamental element.
 
-Let delta be fundamental with atom permutation sigma of order N.  Then
-lambda = delta^N is central in the monoid, and every inverse letter satisfies
-g^-1 = D_g * delta^(N-1) * lambda^-1 where delta = g * D_g.  Pulling the
-lambda^-1 factors to the front turns any signed word w into lambda^-k * P
-with P positive and k the number of inverse letters; two group words are then
-equal iff their lifted positive words agree in the monoid once both carry the
-same power of lambda.  The verdict is only meaningful when the monoid embeds
-into the group, which is why comparison refuses to run unless the
-presentation is proven cancellative, checked empirically to a stated bound,
-or explicitly overridden.
+Let delta be fundamental: delta = s * D_s = D_s * sigma(s) for every atom s,
+with sigma a permutation of the atoms of order N.  Two identities follow:
+x * delta = delta * sigma(x) for every letter x, so a positive word crosses
+delta as w * delta = delta * sigma(w), letter by letter; and every inverse
+letter is a~ = D_a * delta~, so w * a~ = delta~ * sigma^-1(w * D_a).
+
+``positive_lift`` is the plain lift: lambda = delta^N is central, each g~
+equals D_g * delta^(N-1) * lambda~, and pulling the lambda~ factors to the
+front turns a signed word into lambda^-k * P with P positive.
+
+``group_equal`` instead keeps a word as delta^j * r with r positive, built in
+one left-to-right pass over its free reduction.  A positive letter goes onto
+the end of r; when the last |delta| letters of r are a member of delta's
+class they are dropped, sigma is applied to the rest and j goes up by one.
+An inverse letter a~ first moves every delta that left-divides r into j, then
+cancels against a member of r's class that ends in a letter of a's class, or
+failing that makes r = sigma^-1(r * D_a) and lowers j by one.  Two words are
+compared by a homomorphic image first (their length, or their letter counts
+when every relation permutes its letters), then the residual with the lower
+power is divided by delta until the powers agree, then the residuals are
+compared in the monoid.  No closure sees a padded lift: only delta, single
+letters and residuals are closed over.  This is the delta-factorisation of
+Garside theory (Dehornoy et al., Foundations of Garside Theory, 2015) with
+only the quotients and sigma of the certificate, never lcms or a greedy
+normal form, since the monoids at hand need not have lcms.
+
+The verdict is only meaningful when the monoid embeds into the group, since
+delta^i * r1 = r2 is then read in the monoid; that is why comparison refuses
+to run unless the presentation is proven cancellative, checked empirically to
+a stated bound, or explicitly overridden.
 
 Signed-word syntax: the token suffix ``~`` marks an inverse (``s~``, ``t1~``).
 """
@@ -81,15 +101,17 @@ def free_reduce(sw: SignedWord) -> SignedWord:
     return tuple(out)
 
 
-def _atom_rep(p: Presentation, cert: FundamentalCertificate, letter: str, cap: int) -> str:
-    if letter in cert.quotients:
-        return letter
+def _letter_atoms(p: Presentation, cert: FundamentalCertificate, cap: int) -> dict[str, str]:
+    """Each letter's certificate atom: the atom in the letter's class."""
     eng = engine(p)
-    canon = eng.canonical_raw(eng.encode((letter,)), cap)
-    for a in cert.quotients:
-        if eng.canonical_raw(eng.encode((a,)), cap) == canon:
-            return a
-    raise ValueError(f"letter {letter!r} has no atom representative in the certificate")
+    by_class = {eng.canonical_raw(eng.encode((a,)), cap): a for a in cert.quotients}
+    out = {}
+    for x in p.letters:
+        a = by_class.get(eng.canonical_raw(eng.encode((x,)), cap))
+        if a is None:
+            raise ValueError(f"letter {x!r} has no atom representative in the certificate")
+        out[x] = a
+    return out
 
 
 def positive_lift(
@@ -98,6 +120,7 @@ def positive_lift(
     """Clear inverses: k counts inverse letters after free reduction, and each
     g~ becomes quotients[g] followed by delta^(N-1)."""
     reduced = free_reduce(sw)
+    atom = _letter_atoms(p, cert, cap)
     pad = cert.delta * (cert.order - 1)
     out: list[str] = []
     k = 0
@@ -108,35 +131,86 @@ def positive_lift(
             out.append(letter)
         else:
             k += 1
-            out.extend(cert.quotients[_atom_rep(p, cert, letter, cap)])
+            out.extend(cert.quotients[atom[letter]])
             out.extend(pad)
     return LiftResult(k=k, positive=tuple(out))
 
 
-def _reduced_lift(
-    sw: SignedWord, cert: FundamentalCertificate, p: Presentation, cap: int
-) -> tuple[int, str]:
-    """Like positive_lift but cancels a trailing inverse against the word
-    accumulated so far whenever a right quotient exists, keeping both the
-    lambda exponent and the word short.  Needs injectivity to be sound, which
-    group_equal guarantees before calling."""
-    eng = engine(p)
-    pad = eng.encode(cert.delta) * (cert.order - 1)
-    acc = ""
-    k = 0
-    for letter, sign in free_reduce(sw):
-        c = eng.encode((letter,))
-        if sign > 0:
-            acc += c
-            continue
-        cands = [m[:-1] for m in eng.closure(acc, cap) if m.endswith(c)]
-        if cands:
-            acc = min(cands)
-        else:
-            rep = _atom_rep(p, cert, letter, cap)
-            acc += eng.encode(cert.quotients[rep]) + pad
-            k += 1
-    return k, acc
+class _DeltaForms:
+    """Signed words as delta^j * r, r a positive char string (see the module
+    docstring).  Closures are taken of delta, of letters and of residuals r
+    only."""
+
+    def __init__(self, p: Presentation, cert: FundamentalCertificate, cap: int):
+        eng = engine(p)
+        self.eng, self.cap = eng, cap
+        self.delta = eng.encode(cert.delta)
+        self.delta_class = eng.closure(self.delta, cap)
+        enc = {x: eng.encode((x,)) for x in p.letters}
+        atom = _letter_atoms(p, cert, cap)
+        preimage = {b: a for a, b in cert.sigma.items()}
+        self.atom = {enc[x]: enc[a] for x, a in atom.items()}
+        self.quotient = {enc[a]: eng.encode(q) for a, q in cert.quotients.items()}
+        self.sigma = str.maketrans({enc[x]: enc[cert.sigma[a]] for x, a in atom.items()})
+        self.sigma_inv = str.maketrans({enc[x]: enc[preimage[a]] for x, a in atom.items()})
+
+    def of(self, sw: SignedWord) -> tuple[int, str, bool]:
+        """(j, r, reduced) with sw = delta^j * r in the group, in one pass;
+        ``reduced`` says that delta is known not to left-divide r."""
+        eng, n, atom = self.eng, len(self.delta), self.atom
+        j, r, reduced = 0, "", True
+        for letter, sign in free_reduce(sw):
+            c = eng.encode((letter,))
+            if sign > 0:
+                # r' * delta = delta * sigma(r')
+                r += c
+                reduced = False
+                if r[-n:] in self.delta_class:
+                    r = r[:-n].translate(self.sigma)
+                    j += 1
+                continue
+            reduced = True
+            while (rest := self.divide(r)) is not None:
+                r, j = rest, j + 1
+            a = atom[c]
+            ends = [m[:-1] for m in eng.closure(r, self.cap) if m and atom[m[-1]] == a]
+            if ends:
+                r = min(ends)
+            else:
+                # a~ = D_a * delta~ and w * delta~ = delta~ * sigma^-1(w); no
+                # delta divides the result, or a would right-divide r
+                r = (r + self.quotient[a]).translate(self.sigma_inv)
+                j -= 1
+        return j, r, reduced
+
+    def divide(self, r: str) -> str | None:
+        """The least r' with r = delta * r', or None if delta does not
+        left-divide r."""
+        n = len(self.delta)
+        if len(r) < n:
+            return None
+        cls = self.eng.closure(r, self.cap)
+        return min((m[n:] for m in cls if m[:n] in self.delta_class), default=None)
+
+    def weight(self, j: int, r: str):
+        """Image of delta^j * r under a homomorphism of the group: the letter
+        counts when every relation permutes its letters, else the length."""
+        if self.eng.balanced:
+            return tuple(j * self.delta.count(c) + r.count(c) for c in self.eng.chars)
+        return j * len(self.delta) + len(r)
+
+    def equal(self, w1: SignedWord, w2: SignedWord) -> bool:
+        (j1, r1, reduced), (j2, r2, _) = sorted((self.of(w1), self.of(w2)))
+        if self.weight(j1, r1) != self.weight(j2, r2) or reduced and j1 < j2:
+            return False
+        # delta^j1 * r1 = delta^j2 * r2 iff r1 = delta^(j2 - j1) * r2, in the
+        # monoid as well since it embeds; left cancellation then makes any
+        # remainder of r1 by delta as good as the least
+        for _ in range(j2 - j1):
+            r1 = self.divide(r1)
+            if r1 is None:
+                return False
+        return self.eng.equal_raw(r1, r2, self.cap)
 
 
 def group_equal(
@@ -154,6 +228,10 @@ def group_equal(
     flagged proven cancellative, ``verify_cancellative_to`` finds no
     cancellation failure up to that bound, or ``assume_injective`` is set.
     A False under a mere assumption is only as good as the assumption.
+
+    ``cap`` bounds each closure, and closures are taken only of delta, of
+    single letters and of the residuals r of the delta^j * r forms, never of
+    a padded lift: padding both words with powers of delta costs none.
     """
     _require_homogeneous(p)
     if p.cancellative is not True and not assume_injective:
@@ -168,13 +246,7 @@ def group_equal(
                 f"found {len(failures)} cancellation failures up to length "
                 f"{verify_cancellative_to}; the monoid does not embed"
             )
-    eng = engine(p)
-    k1, p1 = _reduced_lift(w1, cert, p, cap)
-    k2, p2 = _reduced_lift(w2, cert, p, cap)
-    lam = eng.encode(cert.delta) * cert.order
-    a = lam * (max(k1, k2) - k1) + p1
-    b = lam * (max(k1, k2) - k2) + p2
-    return eng.equal_raw(a, b, cap)
+    return _DeltaForms(p, cert, cap).equal(w1, w2)
 
 
 def center_scan(p: Presentation, max_len: int, cap: int = DEFAULT_CAP) -> frozenset[Word]:

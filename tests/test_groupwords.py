@@ -1,9 +1,12 @@
+import time
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import monoidkit as mk
 from monoidkit import InjectivityNotEstablishedError
 
-from conftest import random_word
+from conftest import naive_equal, random_word
 
 
 @pytest.fixture(scope="module")
@@ -86,7 +89,9 @@ def test_group_equal_monoid_consistency(g22, p22, cert, rng):
 
 
 def test_group_equal_padding_invariance(g22, p22, cert):
-    # prepending the same central power to both sides never changes verdicts
+    # prepending the same central power to both sides never changes verdicts,
+    # and no closure sees the padding: all of it under the default cap
+    start = time.perf_counter()
     lam = tuple((x, 1) for x in g22.delta * cert.order)
     pairs = [
         (sw(p22, "t1.u1.t1~.u1~"), ()),
@@ -95,8 +100,12 @@ def test_group_equal_padding_invariance(g22, p22, cert):
     ]
     for a, b in pairs:
         base = mk.group_equal(a, b, p22, cert)
-        assert mk.group_equal(lam + a, lam + b, p22, cert) == base
-        assert mk.group_equal(lam + lam + a, lam + lam + b, p22, cert) == base
+        for k in range(1, 6):
+            assert mk.group_equal(lam * k + a, lam * k + b, p22, cert) == base
+    # the benchmark's lambda^3 [t1, u1] = lambda^3, as text
+    d3 = ".".join(["s.t1.t2.u1.u2"] * 3)
+    assert mk.group_equal(sw(p22, d3 + ".t1.u1.t1~.u1~"), sw(p22, d3), p22, cert)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_group_equal_requires_injectivity(m6, m6p):
@@ -179,3 +188,88 @@ def test_delta_powers_are_central(g22, p22):
     # exhaustive partition of ~5^11 words, so check the predicate directly
     for g in p22.letters:
         assert mk.equal(d + d + (g,), (g,) + d + d, p22)
+
+
+# g(2,2), whose atom permutation sigma is the identity, and presentations
+# where it is not, so that its direction matters: the positive braid monoids
+# on 3 and 4 strands (sigma of order 2) and the dual braid monoid on 3 strands
+# (order 3, so sigma and its inverse differ).
+_G22 = mk.build_gmn(2, 2)
+SIGMA_CASES = {
+    name: (p, mk.verify_fundamental(tuple(delta), p))
+    for name, p, delta in [
+        ("g22", _G22.presentation, _G22.delta),
+        ("B3", mk.parse_presentation("generators: a b\nrelation: aba = bab\n"), "aba"),
+        (
+            "B4",
+            mk.parse_presentation(
+                "generators: a b c\nrelation: aba = bab\nrelation: bcb = cbc\n"
+                "relation: ac = ca\n"
+            ),
+            "abcaba",
+        ),
+        (
+            "BKL3",
+            mk.parse_presentation("generators: a b c\nrelation: ab = bc\nrelation: bc = ca\n"),
+            "ab",
+        ),
+    ]
+}
+# Inverse letters per word.  Each lifts to |delta| * order - 1 letters, and the
+# oracle enumerates the class of the padded lift depth first.
+MAX_INVERSES = {"g22": 2, "B3": 2, "B4": 1, "BKL3": 1}
+
+
+@st.composite
+def signed_pairs(draw):
+    """A presentation and two signed words of 0-4 letters; the second has the
+    exponent sum of the first when it can, so length alone rarely decides."""
+    name = draw(st.sampled_from(sorted(SIGMA_CASES)))
+    p = SIGMA_CASES[name][0]
+    most = MAX_INVERSES[name]
+
+    def word(length, inverses):
+        signs = draw(st.permutations([-1] * inverses + [1] * (length - inverses)))
+        return tuple((draw(st.sampled_from(p.letters)), s) for s in signs)
+
+    n1 = draw(st.integers(0, 4))
+    w1 = word(n1, draw(st.integers(0, min(n1, most))))
+    n2 = draw(st.integers(0, 4))
+    w2 = word(n2, min(most, n2, max(0, (n2 - sum(s for _, s in w1)) // 2)))
+    return name, w1, w2
+
+
+def definitional_equal(w1, w2, p, cert):
+    """lambda^-k1 * P1 = lambda^-k2 * P2, lambda = delta^order being central:
+    pad the lift with the smaller k and compare in the oracle."""
+    l1, l2 = mk.positive_lift(w1, cert, p), mk.positive_lift(w2, cert, p)
+    lam = cert.delta * cert.order
+    k = max(l1.k, l2.k)
+    a = lam * (k - l1.k) + l1.positive
+    b = lam * (k - l2.k) + l2.positive
+    return len(a) == len(b) and naive_equal(a, b, p)
+
+
+def _pair(name, u, v):
+    p = SIGMA_CASES[name][0]
+    return name, mk.parse_signed_word(p, u), mk.parse_signed_word(p, v)
+
+
+@settings(max_examples=120, deadline=None)
+@given(signed_pairs())
+# members of delta's class other than delta itself
+@example(_pair("B4", "babcba", "abcaba"))
+@example(_pair("g22", "t1.t2.s.u1.u2", "s.t1.t2.u1.u2"))
+# delta left-divides only after rewriting, so the comparison must divide
+@example(_pair("g22", "s.t1.t2.t1.u1.u2", "s.t1.t2.u1.u2.t1"))
+@example(_pair("g22", "s.t1.t2.t1.u1.u2.t1~", "s.t1.t2.u1.u2"))
+@example(_pair("B4", "abacaba", "abcabab"))
+# delta~ * x * delta is sigma(x); in BKL3 sigma^-1(x) differs from it
+@example(_pair("B3", "a~b~a~aaba", "b"))
+@example(_pair("BKL3", "b~a~aab", "c"))
+@example(_pair("BKL3", "b~a~aab", "b"))
+def test_group_equal_matches_definition(case):
+    name, w1, w2 = case
+    p, cert = SIGMA_CASES[name]
+    expected = definitional_equal(w1, w2, p, cert)
+    assert mk.group_equal(w1, w2, p, cert, assume_injective=True) == expected
