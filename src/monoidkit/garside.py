@@ -185,21 +185,10 @@ def verify_garside(delta: Word, p: Presentation, cap: int = DEFAULT_CAP) -> Gars
     _require_homogeneous(p)
     eng = engine(p)
     cls = eng.closure(eng.encode(delta), cap)
-    # the prefixes and suffixes fall into few classes: take each class's
-    # minimum once and look its other members up
-    canon_of: dict[str, str] = {}
-
-    def canonical(w: str) -> str:
-        c = canon_of.get(w)
-        if c is None:
-            members = eng.closure(w, cap)
-            c = min(members)
-            canon_of.update(dict.fromkeys(members, c))
-        return c
-
-    left_canon = {canonical(m[:i]) for m in cls for i in range(len(m) + 1)}
-    right_canon = {canonical(m[i:]) for m in cls for i in range(len(m) + 1)}
-    atom_canons = {canonical(eng.encode((s,))) for s in atoms(p, cap)}
+    canonical = eng.canonical_raw
+    left_canon = {canonical(m[:i], cap) for m in cls for i in range(len(m) + 1)}
+    right_canon = {canonical(m[i:], cap) for m in cls for i in range(len(m) + 1)}
+    atom_canons = {canonical(eng.encode((s,)), cap) for s in atoms(p, cap)}
     return GarsideReport(
         left_divisors=frozenset(eng.decode(w) for w in left_canon),
         right_divisors=frozenset(eng.decode(w) for w in right_canon),

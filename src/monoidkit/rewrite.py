@@ -14,15 +14,22 @@ C speed and the lexicographic minimum of a class doubles as its canonical
 representative.
 
 Point queries (equality, canonical forms, divisibility) close over one class
-and cache it per engine.  Whole-length enumeration instead builds graded class
-tables, level by level as in the right Cayley graph construction of Froidure
-and Pin (1997): a class of length m+1 is a union-find component of the nodes
-(length-m class, last letter), and two nodes are joined only by a relation
-instance that ends at the last letter, because every other substitution stays
-inside the prefix class.  Each level keeps a ``class id x letter -> class id``
-table and the lex-min word of every class, with ids in canonical order; no
-level ever lists its |A|^n words.  Lookups are pure and inserts idempotent, so
-concurrent readers are fine.
+breadth-first.  Each BFS level is scanned as one string, its words joined by
+a separator letter that no rule contains, so every rule costs one ``find``
+loop per level rather than one per member; homogeneity puts every member at
+the seed's length, so the position of a hit gives the word it lies in.  A
+complete class is cached per engine under each of its members, together with
+its least word, so a canonical form read from the cache costs O(1).
+
+Whole-length enumeration instead builds graded class tables, level by level
+as in the right Cayley graph construction of Froidure and Pin (1997): a class
+of length m+1 is a union-find component of the nodes (length-m class, last
+letter), and two nodes are joined only by a relation instance that ends at
+the last letter, because every other substitution stays inside the prefix
+class.  Each level keeps a ``class id x letter -> class id`` table and the
+lex-min word of every class, with ids in canonical order; no level ever lists
+its |A|^n words.  Lookups are pure and inserts idempotent, so concurrent
+readers are fine.
 """
 
 from __future__ import annotations
@@ -56,6 +63,12 @@ class EquivClass:
         return w in self.members
 
 
+class _Class(frozenset):
+    """A complete class of encoded words; ``least`` is its lex-min member."""
+
+    __slots__ = ("least",)
+
+
 class RewriteEngine:
     """Char-encoded rewriting core for one presentation.
 
@@ -66,6 +79,7 @@ class RewriteEngine:
     def __init__(self, p: Presentation):
         self.presentation = p
         self.chars = [chr(i) for i in range(len(p.letters))]
+        self.separator = chr(len(p.letters))  # joins the words of a BFS level
         self._to_char = {x: chr(i) for i, x in enumerate(p.letters)}
         self._to_letter = {chr(i): x for i, x in enumerate(p.letters)}
         directed = set()
@@ -76,7 +90,7 @@ class RewriteEngine:
             directed.add((b, a))
         self.rules: tuple[tuple[str, str], ...] = tuple(sorted(directed))
         self.balanced = p.letter_balanced
-        self._classes: dict[str, frozenset[str]] = {}
+        self._classes: dict[str, _Class] = {}
         # _tables[m][c * |A| + a]: class of (class c of length m) * letter a;
         # _canons[m][c]: the lex-min word of class c of length m
         self._tables: list[list[int]] = []
@@ -102,12 +116,19 @@ class RewriteEngine:
                 yield w[:i] + rep + w[i + len(pat):]
                 i = w.find(pat, i + 1)
 
-    def closure(self, w: str, cap: int = DEFAULT_CAP) -> frozenset[str]:
-        """All words reachable from ``w``; cached once complete."""
+    def closure(
+        self, w: str, cap: int = DEFAULT_CAP, cache: bool = True
+    ) -> frozenset[str] | set[str]:
+        """All words reachable from ``w``, read from the cache when there.
+
+        A class closed over here is cached once complete, unless ``cache`` is
+        false; then a plain set is returned and the cache stays as it was.
+        """
         cached = self._classes.get(w)
         if cached is not None:
             return cached
-        return self._bfs(w, cap)
+        seen = self._bfs(w, cap)
+        return self._store(seen) if cache else seen
 
     def closure_search(self, start: str, target: str, cap: int = DEFAULT_CAP) -> bool:
         """Is ``target`` reachable from ``start``?  Early exit on success.
@@ -115,41 +136,64 @@ class RewriteEngine:
         A completed unsuccessful search caches the full class as a side
         effect; a successful one caches nothing (the set is partial).
         """
-        return start == target or self._bfs(start, cap, target) is None
+        if start == target:
+            return True
+        seen = self._bfs(start, cap, target)
+        if seen is None:
+            return True
+        self._store(seen)
+        return False
 
-    def _bfs(self, w: str, cap: int, target: str | None = None) -> frozenset[str] | None:
-        """Breadth-first closure of ``w``: None as soon as ``target`` turns up,
-        else the whole class, cached for every member."""
-        seen = {w}
-        frontier = [w]
-        rules = self.rules
-        while frontier:
-            nxt = []
-            for cur in frontier:
-                for pat, rep in rules:
-                    i = cur.find(pat)
-                    while i >= 0:
-                        v = cur[:i] + rep + cur[i + len(pat):]
-                        if v not in seen:
-                            if v == target:
-                                return None
-                            if len(seen) >= cap:
-                                err = CapExceededError(
-                                    f"class of a {len(w)}-letter word exceeded cap {cap}"
-                                    if target is None
-                                    else f"equality search exceeded cap {cap}"
-                                )
-                                err.raw_partial = frozenset(seen)
-                                raise err
-                            seen.add(v)
-                            nxt.append(v)
-                        i = cur.find(pat, i + 1)
-            frontier = nxt
-        cls = frozenset(seen)
+    def _store(self, seen: set[str]) -> _Class:
+        """Cache a complete class under each of its members."""
+        cls = _Class(seen)
+        cls.least = min(cls)
         classes = self._classes
         for m in cls:
             classes[m] = cls
         return cls
+
+    def _bfs(self, w: str, cap: int, target: str | None = None) -> set[str] | None:
+        """Breadth-first closure of ``w``: None as soon as ``target`` turns up,
+        else the whole class, which the caller may cache.
+
+        Each level is scanned as one string, its words joined by a separator
+        that no rule contains, so one ``find`` loop per rule covers the level.
+        Every member has the length n of ``w`` (the presentation is
+        homogeneous), so a hit at i lies in the word starting at i - i % (n+1).
+        """
+        seen = {w}
+        frontier = [w]
+        n = len(w)
+        step = n + 1
+        sep = self.separator
+        rules = self.rules
+        while frontier:
+            level = sep.join(frontier)
+            find = level.find
+            nxt = []
+            for pat, rep in rules:
+                k = len(pat)
+                i = find(pat)
+                while i >= 0:
+                    s = i - i % step
+                    v = level[s:i] + rep + level[i + k:s + n]
+                    if v not in seen:
+                        if v == target:
+                            return None
+                        if len(seen) >= cap:
+                            err = CapExceededError(
+                                f"class of a {n}-letter word exceeded cap {cap}"
+                                if target is None
+                                else f"equality search exceeded cap {cap}"
+                            )
+                            err.raw_partial = frozenset(seen)
+                            raise err
+                        seen.add(v)
+                        nxt.append(v)
+                    i = find(pat, i + 1)
+            frontier = nxt
+        return seen
 
     def equal_raw(self, a: str, b: str, cap: int = DEFAULT_CAP) -> bool:
         if a == b:
@@ -167,7 +211,7 @@ class RewriteEngine:
         return self.closure_search(a, b, cap)
 
     def canonical_raw(self, w: str, cap: int = DEFAULT_CAP) -> str:
-        return min(self.closure(w, cap))
+        return self.closure(w, cap).least
 
     # -- graded class tables --------------------------------------------------
 
@@ -291,7 +335,7 @@ def equivalence_class(w: Word, p: Presentation, cap: int = DEFAULT_CAP) -> Equiv
         members = frozenset(eng.decode(m) for m in raw)
         e.partial = EquivClass(w, members, eng.decode(min(raw)), truncated=True)
         raise
-    return EquivClass(w, frozenset(eng.decode(m) for m in cls), eng.decode(min(cls)))
+    return EquivClass(w, frozenset(eng.decode(m) for m in cls), eng.decode(cls.least))
 
 
 def equal(u: Word, v: Word, p: Presentation, cap: int = DEFAULT_CAP) -> bool:

@@ -2,6 +2,7 @@ import pytest
 
 import monoidkit as mk
 from monoidkit import NonHomogeneousError
+from monoidkit.rewrite import engine
 
 from conftest import W, naive_left_divides, random_word
 
@@ -44,6 +45,26 @@ def test_divisibility_matches_oracle(p22, m6, rng):
             v = random_word(rng, p, 5)
             u = random_word(rng, p, 3)
             assert mk.left_divides(u, v, p).divides == naive_left_divides(u, v, p)
+
+
+def test_divides_caches_only_the_class_of_v(p22, rng):
+    # quotient classes are closed over but not cached, and a cache warmed by
+    # canonical calls on the quotients changes no answer
+    for side, divides in (("left", mk.left_divides), ("right", mk.right_divides)):
+        for _ in range(10):
+            v = random_word(rng, p22, 7, min_len=4)
+            members = mk.equivalence_class(v, p22).members
+            n = rng.randint(1, 3)
+            m = rng.choice(sorted(members))
+            u = m[:n] if side == "left" else m[-n:]
+            cold = mk.build_gmn(2, 2).presentation
+            res = divides(u, v, cold)
+            assert res.divides
+            assert len(engine(cold)._classes) == len(members)
+            warm = mk.build_gmn(2, 2).presentation
+            for x in members:
+                mk.canonical(x[n:] if side == "left" else x[:-n], warm)
+            assert divides(u, v, warm) == res
 
 
 def test_representative_independence(p22, rng):

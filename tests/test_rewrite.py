@@ -1,11 +1,13 @@
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import monoidkit as mk
 from monoidkit import CapExceededError, NonHomogeneousError
 
-from conftest import W, naive_class, random_word
+from conftest import W, naive_canonical, naive_class, random_word
+from test_tables import presentations
 
 
 def test_neighbors_cyclic(p22):
@@ -91,6 +93,25 @@ def test_cap_exceeded_carries_partial():
     assert partial.seed == ("s", "t1", "t2")
     # caps beyond the class size change nothing
     assert len(mk.equivalence_class(("s", "t1", "t2"), p, cap=3)) == 3
+    # every cap below the class size (6 here): a partial of exactly cap
+    # members, and equality stays undecided, never False
+    word, other = W("u1.s.t1.t2"), W("s.t1.t2.u1")
+    cls = naive_class(word, p)
+    assert other not in cls
+    for cap in range(1, 6):
+        fresh = mk.build_gmn(2, 2).presentation
+        with pytest.raises(CapExceededError) as info:
+            mk.equivalence_class(word, fresh, cap=cap)
+        assert len(info.value.partial.members) == cap
+        assert info.value.partial.members <= cls
+        with pytest.raises(CapExceededError):
+            mk.equal(word, other, mk.build_gmn(2, 2).presentation, cap=cap)
+        for m in cls:
+            try:
+                assert mk.equal(word, m, mk.build_gmn(2, 2).presentation, cap=cap)
+            except CapExceededError:
+                pass
+    assert not mk.equal(word, other, mk.build_gmn(2, 2).presentation, cap=6)
 
 
 def test_unknown_letter_rejected(p22):
@@ -157,3 +178,55 @@ def test_determinism_across_engines(m6):
     a = mk.equivalence_class(w, m6)
     b = mk.equivalence_class(w, twin)
     assert a.members == b.members and a.canonical == b.canonical
+
+
+# -- point queries against the oracle ---------------------------------------
+
+
+@st.composite
+def point_queries(draw):
+    """A presentation, a divisor u of up to 3 letters, and words v, w of one
+    length up to 6."""
+    p = draw(presentations())
+    letters = "".join(p.letters)
+    v = draw(st.text(alphabet=letters, max_size=6))
+    w = draw(st.text(alphabet=letters, min_size=len(v), max_size=len(v)))
+    u = draw(st.text(alphabet=letters, max_size=3))
+    return p, tuple(u), tuple(v), tuple(w)
+
+
+def oracle_quotients(u, v, p, side):
+    n = len(u)
+    if n > len(v):
+        return set()
+    cls = naive_class(v, p)
+    if side == "left":
+        quots = {m[n:] for m in cls if m[:n] == u}
+    else:
+        quots = {m[:len(m) - n] for m in cls if m[len(m) - n:] == u}
+    return {naive_canonical(q, p) for q in quots}
+
+
+# ab = ba on abab: the second BFS level is baab, abba, aabb, and "ba" would
+# match across the first two if the level were joined without a separator
+@settings(max_examples=60, deadline=None)
+@given(point_queries())
+@example((mk.parse_presentation("generators: a b\nrelation: ab = ba\n"),
+          W("a"), W("abab"), W("bbaa")))
+def test_point_queries_match_oracle(query):
+    p, u, v, w = query
+    cls = naive_class(v, p)
+    # on a fresh engine: an early-exit search, then one that may exhaust
+    assert mk.equal(v, max(cls), p)
+    assert mk.equal(w, v, p) == (w in cls)
+    assert mk.equal(v, w, p) == (w in cls)
+    for side, divides in (("left", mk.left_divides), ("right", mk.right_divides)):
+        expected = oracle_quotients(u, v, p, side)
+        res = divides(u, v, p)
+        assert res.quotients == expected
+        assert res.divides == bool(expected)
+    for x in (v, w):
+        got = mk.equivalence_class(x, p)
+        assert got.members == naive_class(x, p)
+        assert got.canonical == naive_canonical(x, p)
+        assert mk.canonical(x, p) == got.canonical
