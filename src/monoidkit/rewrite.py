@@ -139,10 +139,9 @@ class RewriteEngine:
         if start == target:
             return True
         seen = self._bfs(start, cap, target)
-        if seen is None:
-            return True
-        self._store(seen)
-        return False
+        if seen is not None:
+            self._store(seen)
+        return seen is None
 
     def _store(self, seen: set[str]) -> _Class:
         """Cache a complete class under each of its members."""
