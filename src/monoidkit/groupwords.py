@@ -254,13 +254,18 @@ def center_scan(p: Presentation, max_len: int, cap: int = DEFAULT_CAP) -> frozen
 
     Commuting with the generators suffices for centrality since they generate
     the monoid.  The empty word is always reported.  Classes are compared
-    through the class tables, so ``cap`` (which bounds closures) is not used.
+    through the class tables, so ``cap`` (which bounds closures) is not used:
+    the images c*g and g*c of every class c of a length come from the
+    tables at once, and only the central classes are decoded into words.
     """
     _require_homogeneous(p)
     eng = engine(p)
     central = []
     for n in range(0, max_len + 1):
-        for canon in eng.canonicals_at(n):
-            if all(eng.class_of(canon + g) == eng.class_of(g + canon) for g in eng.chars):
-                central.append(canon)
+        level = eng.partition(n)
+        ids = range(len(level))
+        for g in eng.chars:
+            right, left = eng.right_multiples(g, n + 1), eng.left_multiples(g, n + 1)
+            ids = [c for c in ids if right[c] == left[c]]
+        central.extend(level[c] for c in ids)
     return frozenset(eng.decode(c) for c in central)

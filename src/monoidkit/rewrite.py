@@ -26,15 +26,30 @@ as in the right Cayley graph construction of Froidure and Pin (1997): a class
 of length m+1 is a union-find component of the nodes (length-m class, last
 letter), and two nodes are joined only by a relation instance that ends at
 the last letter, because every other substitution stays inside the prefix
-class.  Each level keeps a ``class id x letter -> class id`` table and the
-lex-min word of every class, with ids in canonical order; no level ever lists
-its |A|^n words.  Lookups are pure and inserts idempotent, so concurrent
-readers are fine.
+class.  Ids come out in canonical order.  Each level keeps two ``array('i')``
+columns: the table ``T_m[c*k + a]``, the class of (class c) * (letter a), and
+the first node ``c'*k + a`` of every class, whose canonical word is that of
+c' followed by a.  A canonical word is decoded on demand by walking these
+pointers down; no level stores its words, let alone lists its |A|^n words.
+
+Whole-level images come from the same arrays.  The right images z*g of a
+level are the column ``T_n[g::k]``.  The left images follow the left Cayley
+graph construction of the same paper: with parent(z) and last(z) the two
+halves of z's first node, g*z = (g*parent(z))*last(z), so
+
+    class(g*z) = T[class(g*parent(z))*k + last(z)],
+
+one lookup per class from the images one level down.  Lookups are pure and
+inserts idempotent, so concurrent readers are fine.
 """
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import compress, islice
+from operator import eq
 
 from .errors import CapExceededError, NonHomogeneousError
 from .presentation import Presentation, Word
@@ -92,9 +107,9 @@ class RewriteEngine:
         self.balanced = p.letter_balanced
         self._classes: dict[str, _Class] = {}
         # _tables[m][c * |A| + a]: class of (class c of length m) * letter a;
-        # _canons[m][c]: the lex-min word of class c of length m
-        self._tables: list[list[int]] = []
-        self._canons: list[tuple[str, ...]] = [("",)]
+        # _levels[m]: the classes of length m
+        self._tables: list[array] = []
+        self._levels: list[_Level] = [_Level(array("i", [0]), None, len(p.letters))]
 
     # -- encoding -----------------------------------------------------------
 
@@ -214,23 +229,25 @@ class RewriteEngine:
 
     # -- graded class tables --------------------------------------------------
 
-    def partition(self, n: int) -> tuple[str, ...]:
-        """Build the class tables up to length n; the canonical words of the
-        length-n classes, indexed by class id (so in increasing order)."""
+    def partition(self, n: int) -> _Level:
+        """Build the class tables up to length n; the length-n classes as a
+        sequence of their canonical words, indexed by class id (so in
+        increasing order).  The same object is returned on every call."""
         _require_homogeneous(self.presentation)
-        while len(self._canons) <= n:
+        while len(self._levels) <= n:
             self._extend()
-        return self._canons[n]
+        return self._levels[n]
 
-    def canonicals_at(self, n: int) -> tuple[str, ...]:
-        """The same tuple as partition(n); bench/tracing.py times both names."""
+    def canonicals_at(self, n: int) -> _Level:
+        """The same level as partition(n); bench/tracing.py times both names."""
         return self.partition(n)
 
     def _extend(self) -> None:
-        m = len(self._canons) - 1
+        m = len(self._levels) - 1
         k = len(self.chars)
-        prev = self._canons[m]
-        parent = list(range(len(prev) * k))  # node c * k + a stands for prev[c] + a
+        # node c * k + a stands for (class c of length m) * letter a; a root is
+        # the least node of its component, so parent[x] <= x throughout
+        parent = array("i", range(len(self._levels[m]) * k))
 
         def find(x: int) -> int:
             while parent[x] != x:
@@ -240,29 +257,34 @@ class RewriteEngine:
         for pat, rep in self.rules:
             if pat > rep or len(pat) > m + 1:
                 continue  # each relation once, and only when it fits
-            for u in self._canons[m + 1 - len(pat)]:
-                ra = find(self.class_of(u + pat[:-1]) * k + ord(pat[-1]))
-                rb = find(self.class_of(u + rep[:-1]) * k + ord(rep[-1]))
-                parent[ra] = rb
-        # nodes run in lex order of their words, so the first node met of each
-        # component carries its lex-min word and ids come out in canonical order
-        label = [-1] * len(parent)
-        table = []
-        words = []
-        for node in range(len(parent)):
-            root = find(node)
-            if label[root] < 0:
-                label[root] = len(words)
-                words.append(prev[node // k] + self.chars[node % k])
-            table.append(label[root])
+            a, b = ord(pat[-1]), ord(rep[-1])
+            for ua, ub in zip(self.right_multiples(pat[:-1], m),
+                              self.right_multiples(rep[:-1], m)):
+                ra, rb = find(ua * k + a), find(ub * k + b)
+                if ra < rb:
+                    parent[rb] = ra
+                elif rb < ra:
+                    parent[ra] = rb
+        # nodes run in lex order of their words, so the root of a component is
+        # its first node and carries its lex-min word, and ids come out in
+        # canonical order.  Numbering the roots in order turns parent into the
+        # table in place: parent[x] < x already holds the id of x's class.
+        first = array("i")
+        for x in range(len(parent)):
+            r = parent[x]
+            if r == x:
+                parent[x] = len(first)
+                first.append(x)
+            else:
+                parent[x] = parent[r]
         # slice stores keep a racing build of the same level idempotent; the
-        # table goes first, since readers size the tables by _canons
-        self._tables[m:m + 1] = [table]
-        self._canons[m + 1:m + 2] = [tuple(words)]
+        # table goes first, since readers size the tables by _levels
+        self._tables[m:m + 1] = [parent]
+        self._levels[m + 1:m + 2] = [_Level(first, self._levels[m], k)]
 
     def class_of(self, w: str) -> int:
         """Id of the class of w among the classes of its length."""
-        if len(w) >= len(self._canons):
+        if len(w) >= len(self._levels):
             self.partition(len(w))
         k = len(self.chars)
         c = 0
@@ -273,23 +295,100 @@ class RewriteEngine:
     def left_multiples(self, p: str, n: int) -> list[int]:
         """Class id of p*z for each length-(n - |p|) class id z, in order of z;
         empty when p is longer than n.  p left-divides exactly the classes
-        listed, and p1*Z, p2*Z pair up by index."""
+        listed, and p1*Z, p2*Z pair up by index.
+
+        One level at a time: the canonical word of z is that of parent(z)
+        followed by last(z), so p*z = (p*parent(z))*last(z) is one table
+        lookup from the image of parent(z) one level down.
+        """
         if len(p) > n:
             return []
-        return [self.class_of(p + z) for z in self.partition(n - len(p))]
+        self.partition(n)
+        k = len(self.chars)
+        images = [self.class_of(p)]
+        for j in range(1, n - len(p) + 1):
+            table = self._tables[len(p) + j - 1]
+            images = [table[images[f // k] * k + f % k] for f in self._levels[j].first]
+        return images
+
+    def right_multiples(self, s: str, n: int) -> Sequence[int]:
+        """Class id of z*s for each length-(n - |s|) class id z, in order of
+        z, read as one column of the tables per letter of s; empty when s is
+        longer than n."""
+        if len(s) > n:
+            return []
+        self.partition(n)
+        k = len(self.chars)
+        m = n - len(s)
+        if not s:
+            return range(len(self._levels[m]))
+        images = self._tables[m][ord(s[0])::k]
+        for j, ch in enumerate(s[1:], m + 1):
+            column = self._tables[j][ord(ch)::k]
+            images = [column[c] for c in images]
+        return images
 
     def collisions(self, n: int, g: str, side: str) -> list[list[int]]:
         """Length-n class ids that the map x -> g*x (side "left") or x -> x*g
         (side "right") sends to one class: each group in increasing order,
-        groups of one left out."""
+        groups ordered by their least member, groups of one left out.
+
+        The images of the whole level come from left_multiples (the left
+        recurrence) or right_multiples (the column T_n[g::k] for a letter g).
+        Repeated images are found in one sorted copy, so a level on which the
+        map is injective, the common case, returns [] after one C-level sort;
+        a right column is nearly sorted already, since ids follow lex order.
+        """
         if side == "left":
             images = self.left_multiples(g, n + len(g))
         else:
-            images = [self.class_of(w + g) for w in self.partition(n)]
+            images = self.right_multiples(g, n + len(g))
+        ordered = sorted(images)
+        repeated = set(compress(ordered, map(eq, ordered, islice(ordered, 1, None))))
+        if not repeated:
+            return []
         groups: dict[int, list[int]] = {}
-        for x, image in enumerate(images):
-            groups.setdefault(image, []).append(x)
-        return [group for group in groups.values() if len(group) > 1]
+        for x in compress(range(len(images)), map(repeated.__contains__, images)):
+            groups.setdefault(images[x], []).append(x)
+        return list(groups.values())
+
+
+class _Level(Sequence):
+    """The classes of one length as the sequence of their canonical words.
+
+    ``first[c]`` is the first node of class c when its level was built, i.e.
+    c's canonical word is that of class first[c] // k one level down
+    followed by letter first[c] % k; a word is decoded on demand by walking
+    these pointers down to the empty word.
+    """
+
+    __slots__ = ("first", "below", "k")
+
+    def __init__(self, first: array, below: _Level | None, k: int):
+        self.first = first
+        self.below = below
+        self.k = k
+
+    def __len__(self) -> int:
+        return len(self.first)
+
+    def __getitem__(self, c: int) -> str:
+        if not 0 <= c < len(self.first):
+            raise IndexError(c)
+        letters = []
+        level = self
+        while level.below is not None:
+            c, a = divmod(level.first[c], level.k)
+            letters.append(chr(a))
+            level = level.below
+        return "".join(reversed(letters))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (tuple, _Level)):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    __hash__ = None
 
 
 def engine(p: Presentation) -> RewriteEngine:

@@ -14,6 +14,19 @@ def test_m6_failure_found(m6):
     assert CancellationFailure("right", W("b"), W("cefa"), W("efac")) in fails
 
 
+def test_m6p_completed_failures_at_length_8(m6pc):
+    # exactly the cancelled k=1 pairs of the three claim families, each under
+    # its context letter on both sides
+    pairs = {"b": ("cefaacd", "facacde"), "d": ("abcecef", "bcecefa"),
+             "f": ("acdeeab", "deaabce")}
+    expected = [
+        CancellationFailure(side, W(g), W(x), W(y))
+        for side in ("left", "right")
+        for g, (x, y) in pairs.items()
+    ]
+    assert mk.search_failures(m6pc, 8) == expected
+
+
 def test_g22_and_g32_clean(p22):
     assert mk.search_failures(p22, 5) == []
     assert mk.search_failures(mk.build_gmn(3, 2).presentation, 5) == []

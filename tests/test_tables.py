@@ -2,7 +2,7 @@
 
 import sys
 import threading
-from itertools import combinations
+from itertools import combinations, product
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -45,6 +45,29 @@ def test_tables_match_oracle(p):
             ids = {eng.class_of(eng.encode(w)) for w in cls}
             assert len(ids) == 1
             assert eng.decode(canons[ids.pop()]) == cls[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(presentations())
+@example(mk.parse_presentation("generators: a b\nrelation: ab = bb\n"))
+def test_level_images_match_word_walks(p):
+    # the whole-level images against class_of on each concatenated word
+    eng = engine(p)
+    for q in ("".join(w) for j in range(4) for w in product(eng.chars, repeat=j)):
+        for n in range(len(q), 5):
+            zs = eng.partition(n - len(q))
+            assert eng.left_multiples(q, n) == [eng.class_of(q + z) for z in zs]
+            assert list(eng.right_multiples(q, n)) == [eng.class_of(z + q) for z in zs]
+    for n in range(4):
+        ws = eng.partition(n)
+        for g in eng.chars:
+            for side in ("left", "right"):
+                groups = {}
+                for x, w in enumerate(ws):
+                    image = eng.class_of(g + w if side == "left" else w + g)
+                    groups.setdefault(image, []).append(x)
+                expected = [group for group in groups.values() if len(group) > 1]
+                assert eng.collisions(n, g, side) == expected
 
 
 @settings(max_examples=30, deadline=None)
