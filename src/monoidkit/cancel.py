@@ -46,9 +46,9 @@ def search_failures(
     eng = engine(p)
     failures: list[CancellationFailure] = []
     # one context letter per letter class: equal letters cancel identically
-    contexts = eng.canonicals_at(1)
+    contexts = eng.partition(1)
     for n in range(1, max_len):
-        canons = eng.canonicals_at(n)
+        canons = eng.partition(n)
         for side in ("left", "right"):
             for g in contexts:
                 for group in eng.collisions(n, g, side):

@@ -5,6 +5,11 @@ digest, the bounds used and whether anything was truncated, so results are
 reproducible from the output alone.  ``--json`` switches to a structured
 report with words as token arrays.
 
+A presentation source is a file (pipes included), a bundled fixture name or
+``gmn:M,N`` for g(M,N).  ``gmn --m M --n N --run CMD ARGS`` is the same as
+``CMD gmn:M,N ARGS``, with the flags given before ``--run`` in front, so
+flags given after CMD win.
+
 Exit codes: 0 completed (boolean answers live in the payload), 1 claim ran
 but did not reproduce the expected outcome, 2 usage or parse error, 3 cap
 exceeded (undecided, never reported as false), 4 precondition violated.
@@ -29,7 +34,7 @@ from .errors import (
     ParseError,
 )
 from .garside import verify_fundamental, verify_garside
-from .gmn import GmnContext, build_gmn, in_rm
+from .gmn import build_gmn, in_rm
 from .groupwords import center_scan, group_equal, parse_signed_word
 from .presentation import (
     Presentation,
@@ -138,10 +143,12 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _load(args, gmn_ctx: GmnContext | None) -> Presentation:
-    src = args.source
-    if src == "@gmn" and gmn_ctx is not None:
-        return gmn_ctx.presentation
+def _load(src: str) -> Presentation:
+    if src.startswith("gmn:"):
+        m, _, n = src[4:].partition(",")
+        if not (m.isdigit() and n.isdigit()):
+            raise ParseError(f"expected gmn:M,N, got {src}")
+        return build_gmn(int(m), int(n)).presentation
     try:
         # any readable path, pipes like /dev/stdin included
         text = Path(src).read_text(encoding="utf-8")
@@ -330,6 +337,8 @@ _FIXTURE_CLAIMS = {
 
 
 def _do_claim(args, _p_unused=None):
+    if args.k < 1:
+        raise ParseError(f"--k must be at least 1, got {args.k}")
     name = args.name.replace("-", "_") if args.name.startswith("M6") else args.name
     checks = []
     bounds = {"cap": args.cap, "k": args.k}
@@ -405,28 +414,11 @@ def _do_claim(args, _p_unused=None):
     return payload, lines, bounds, 0 if reproduced else 1
 
 
-def _do_gmn(args, parser):
+def _do_gmn(args):
     ctx = build_gmn(args.m, args.n)
     if args.emit:
         sys.stdout.write(serialize_presentation(ctx.presentation))
         return None
-    if args.run:
-        inner_argv = [args.run[0], "@gmn"] + args.run[1:]
-        if args.run[0] in ("gmn", "claim", "parse"):
-            raise ParseError(f"cannot nest {args.run[0]!r} under gmn --run")
-        try:
-            inner = parser.parse_args(inner_argv)
-        except SystemExit:
-            raise ParseError(
-                f"bad arguments for gmn --run: {' '.join(args.run)}"
-            ) from None
-        inner.json = getattr(inner, "json", False) or args.json
-        if getattr(inner, "cap", DEFAULT_CAP) == DEFAULT_CAP:
-            inner.cap = args.cap
-        # emission consults the outer namespace; carry the inner flags back
-        args.json = inner.json
-        args.cap = inner.cap
-        return _dispatch(inner, parser, gmn_ctx=ctx)
     p = ctx.presentation
     payload = {
         "letters": list(p.letters),
@@ -484,13 +476,13 @@ _HANDLERS = {
 }
 
 
-def _dispatch(args, parser, gmn_ctx: GmnContext | None = None):
+def _dispatch(args):
     if args.command == "gmn":
-        return _do_gmn(args, parser)
+        return _do_gmn(args)
     if args.command == "claim":
         payload, lines, bounds, code = _do_claim(args)
         return payload, lines, bounds, code, None
-    p = _load(args, gmn_ctx)
+    p = _load(args.source)
     payload, lines, bounds, code = _HANDLERS[args.command](args, p)
     return payload, lines, bounds, code, p
 
@@ -521,11 +513,17 @@ def run(argv: list[str]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "gmn" and args.run:
+            cmd, *rest = args.run
+            if cmd in ("gmn", "claim"):
+                return _fail(args, argv, 2, f"cannot nest {cmd!r} under gmn --run")
+            flags = ["--json"] * args.json + ["--cap", str(args.cap)]
+            args = parser.parse_args(flags + [cmd, f"gmn:{args.m},{args.n}"] + rest)
     except SystemExit as e:
         return int(e.code) if e.code else 0
     t0 = time.perf_counter()
     try:
-        out = _dispatch(args, parser)
+        out = _dispatch(args)
     except ParseError as e:
         return _fail(args, argv, 2, str(e))
     except CapExceededError as e:

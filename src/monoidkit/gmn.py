@@ -17,8 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations, product
+from itertools import product
 
+from .cancel import search_failures
 from .presentation import Presentation, Relation, Word, expand_cyclic
 from .rewrite import DEFAULT_CAP, engine
 
@@ -240,26 +241,33 @@ def check_division_law(
       vi   u_i X = w(u) Y, mirrored
 
     where D1s, D1t_i, D1C(w) abbreviate quotients of delta1 (delta2 for the
-    mirrored cases) by s, t_i and the tail run C(w).  Both sides of every
-    instance and every witness pair are read off the graded class tables
+    mirrored cases) by s, t_i and the tail run C(w).  Case i is left
+    cancellation itself: it is read off ``search_failures``, one instance
+    (and one violation v X, v Y) per left failure, so v runs over one letter
+    per letter class, as the search does; that differs from every letter
+    only when two generators are equal.  Both sides of every other instance
+    and every witness pair are read off the graded class tables
     (``RewriteEngine.left_multiples``), never by blind enumeration; ``cap``
     bounds closures only, and the check builds none.
     """
     if case not in CASES:
         raise ValueError(f"case must be one of {CASES}")
-    eng = engine(ctx.presentation)
-    handler = {
-        "i": _check_case_i,
-        "ii": _check_case_ii,
-        "iii": partial(_check_case_iii, family=1),
-        "iv": partial(_check_case_iii, family=2),
-        "v": partial(_check_case_v, family=1),
-        "vi": partial(_check_case_v, family=2),
-    }[case]
-    instances, raw = handler(ctx, eng, max_len)
-    violations = tuple(
-        DivisionLawViolation(case, eng.decode(a), eng.decode(b)) for a, b in raw
-    )
+    if case == "i":
+        fails = search_failures(ctx.presentation, max_len, cap)
+        pairs = [(f.context + f.x, f.context + f.y) for f in fails if f.side == "left"]
+        instances = len(pairs)
+    else:
+        eng = engine(ctx.presentation)
+        handler = {
+            "ii": _check_case_ii,
+            "iii": partial(_check_case_iii, family=1),
+            "iv": partial(_check_case_iii, family=2),
+            "v": partial(_check_case_v, family=1),
+            "vi": partial(_check_case_v, family=2),
+        }[case]
+        instances, raw = handler(ctx, eng, max_len)
+        pairs = [(eng.decode(a), eng.decode(b)) for a, b in raw]
+    violations = tuple(DivisionLawViolation(case, a, b) for a, b in pairs)
     return DivisionLawReport(case, max_len, instances, violations)
 
 
@@ -271,19 +279,6 @@ def _fam_chars(ctx: GmnContext, eng, family: int) -> tuple[str, ...]:
 def _words(letters: tuple[str, ...], lo: int, hi: int) -> list[str]:
     """Every word over ``letters`` of length lo..hi, sorted."""
     return sorted("".join(w) for k in range(lo, hi + 1) for w in product(letters, repeat=k))
-
-
-def _check_case_i(ctx, eng, max_len):
-    instances = 0
-    violations = []
-    for r in range(1, max_len):
-        canons = eng.canonicals_at(r)
-        for v in eng.chars:
-            for group in eng.collisions(r, v, "left"):
-                for x, y in combinations(group, 2):
-                    instances += 1
-                    violations.append((v + canons[x], v + canons[y]))
-    return instances, violations
 
 
 def _check_law(eng, max_len, heads_x, heads_y, witnesses, heads_first=False):

@@ -239,7 +239,9 @@ class RewriteEngine:
         return self._levels[n]
 
     def canonicals_at(self, n: int) -> _Level:
-        """The same level as partition(n); bench/tracing.py times both names."""
+        """The same level as partition(n).  Nothing in the package calls it: it
+        stays only because bench/tracing.py wraps it, until the next change to
+        the benchmark renames that wrapper (ROADMAP item 5)."""
         return self.partition(n)
 
     def _extend(self) -> None:

@@ -104,14 +104,46 @@ def test_cancel_search(capsys):
 
 
 def test_gmn_run_matches_file(capsys):
-    assert run(["gmn", "--m", "2", "--n", "2", "--run", "cancel-search",
-                "--max-len", "5", "--json"]) == 0
-    rep = json_report(capsys)
-    assert rep["result"]["count"] == 0
-    assert run(["cancel-search", G22, "--max-len", "5", "--json"]) == 0
-    rep2 = json_report(capsys)
-    assert rep["result"] == rep2["result"]
-    assert rep["presentation_sha"] == rep2["presentation_sha"]
+    # gmn --run CMD ARGS is CMD gmn:2,2 ARGS, and gmn:2,2 is the g22 file
+    for argv, file_argv in (
+        (["gmn", "--m", "2", "--n", "2", "--run", "cancel-search", "--max-len", "5"],
+         ["cancel-search", G22, "--max-len", "5"]),
+        (["cancel-search", "gmn:2,2", "--max-len", "5"], ["cancel-search", G22, "--max-len", "5"]),
+        (["parse", "gmn:2,2"], ["parse", G22]),
+    ):
+        assert run(argv + ["--json"]) == 0
+        rep = json_report(capsys)
+        assert run(file_argv + ["--json"]) == 0
+        rep2 = json_report(capsys)
+        assert rep["result"] == rep2["result"]
+        assert rep["presentation_sha"] == rep2["presentation_sha"]
+    assert rep["result"]["relation_count"] == 8
+    assert run(["parse", "gmn:0,2"]) == 2
+    assert run(["parse", "gmn:2"]) == 2
+
+
+def test_gmn_run_cannot_nest_sourceless_commands(capsys):
+    for cmd in (["claim", "M6"], ["gmn", "--m", "2", "--n", "2"]):
+        assert run(["gmn", "--m", "2", "--n", "2", "--run"] + cmd) == 2
+        assert "cannot nest" in capsys.readouterr().err
+
+
+def test_gmn_run_flags_after_command_win(capsys):
+    # an explicit --cap after the command beats the one before --run, even
+    # when it equals the default
+    for cap in ("1000000", "50"):
+        assert run(["gmn", "--m", "2", "--n", "2", "--cap", "2", "--run",
+                    "class", "s.t1.t2", "--cap", cap]) == 0
+        assert "size: 3" in out_lines(capsys)
+    assert run(["gmn", "--m", "2", "--n", "2", "--cap", "2", "--run",
+                "class", "s.t1.t2"]) == 3
+    capsys.readouterr()
+    for argv in (["--json", "gmn", "--m", "2", "--n", "2", "--run"],
+                 ["gmn", "--m", "2", "--n", "2", "--json", "--run"]):
+        assert run(argv + ["equal", "t1.u1", "u1.t1"]) == 0
+        rep = json_report(capsys)
+        assert rep["result"] == {"equal": True}
+        assert rep["command"] == argv + ["equal", "t1.u1", "u1.t1"]
 
 
 def test_gmn_emit_round_trips(capsys):
@@ -124,8 +156,8 @@ def test_gmn_emit_round_trips(capsys):
 def test_group_equal(capsys):
     assert run(["group-equal", G22, "t1.u1.t1~.u1~", "1", "--verify-to", "4"]) == 0
     assert "result: true" in capsys.readouterr().out
-    assert run(["gmn", "--m", "2", "--n", "2", "--run", "group-equal", "@gmn",
-                "t1.t2.t1~.t2~", "1"]) == 2  # inner source is injected, not given
+    assert run(["gmn", "--m", "2", "--n", "2", "--run", "group-equal", G22,
+                "t1.t2.t1~.t2~", "1"]) == 2  # --run supplies the source itself
     capsys.readouterr()
     assert run(["gmn", "--m", "2", "--n", "2", "--run", "group-equal",
                 "t1.t2.t1~.t2~", "1"]) == 0
@@ -190,6 +222,9 @@ def test_usage_errors(capsys):
     capsys.readouterr()
     assert run(["nonsense"]) == 2
     capsys.readouterr()
+    for k in ("0", "-2"):
+        assert run(["claim", "M6", "--k", k]) == 2
+        assert "--k must be at least 1" in capsys.readouterr().err
 
 
 def test_cap_exceeded_exit_code(capsys):

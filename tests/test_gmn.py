@@ -215,6 +215,24 @@ def _with_relation(ctx, lhs, rhs):
     return replace(ctx, presentation=mk.Presentation(p.letters, p.relations + (extra,)))
 
 
+def test_division_law_case_i_exact_violations():
+    ctx = _with_relation(mk.build_gmn(2, 2), "t2 t1", "u1 s")
+    rep = mk.check_division_law(ctx, "i", 4)
+    expected = {
+        ("u1.s.u1", "u1.t2.t1"),
+        ("t2.t1.t1.t2", "t2.t2.t1.t1"),
+        ("u1.s.t1.u1", "u1.t2.t1.t1"),
+        ("u1.s.t2.t1", "u1.t2.t1.s"),
+        ("u1.s.t2.u1", "u1.t2.t1.t2"),
+        ("u1.s.u1.u1", "u1.t2.t1.u1"),
+        ("u1.s.u1.u2", "u1.t2.t1.u2"),
+        ("u1.t1.s.u1", "u1.t1.t2.t1"),
+        ("u1.t2.s.u1", "u1.t2.t2.t1"),
+    }
+    assert rep.instances == len(rep.violations) == 9
+    assert {(".".join(v.lhs), ".".join(v.rhs)) for v in rep.violations} == expected
+
+
 # (instances, violations) of cases i..vi at total length 5
 LAW_FINGERPRINTS = [
     ((2, 2), None, [(0, 0), (432, 0), (121, 0), (121, 0), (173, 0), (173, 0)]),
