@@ -3,12 +3,18 @@
 Every subcommand prints a report echoing the invocation, the presentation
 digest, the bounds used and whether anything was truncated, so results are
 reproducible from the output alone.  ``--json`` switches to a structured
-report with words as token arrays.
+report with words as token arrays.  ``--json`` and ``--cap`` are declared
+once and go before or after the command; each subcommand binds its handler,
+and every handler takes the parsed arguments and the loaded source (None for
+``claim`` and ``gmn``, which take none).
 
 A presentation source is a file (pipes included), a bundled fixture name or
 ``gmn:M,N`` for g(M,N).  ``gmn --m M --n N --run CMD ARGS`` is the same as
 ``CMD gmn:M,N ARGS``, with the flags given before ``--run`` in front, so
 flags given after CMD win.
+
+A bound below its least value is a usage error: ``--cap`` and ``--k`` must
+be at least 1, ``--max-len`` and ``--verify-to`` at least 0.
 
 Exit codes: 0 completed (boolean answers live in the payload), 1 claim ran
 but did not reproduce the expected outcome, 2 usage or parse error, 3 cap
@@ -50,68 +56,62 @@ from .presentation import (
 from .rewrite import DEFAULT_CAP, canonical, equal, equivalence_class
 
 _MEMBER_LIMIT = 200  # class members echoed without --full
-
-
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
-                    help="structured output")
-    sp.add_argument("--cap", type=int, default=argparse.SUPPRESS,
-                    help=f"class enumeration cap (default {DEFAULT_CAP})")
+_LEAST = {"--cap": 1, "--max-len": 0, "--verify-to": 0, "--k": 1}  # else exit 2
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # --json and --cap are accepted before and after the command.  Their
+    # defaults are SUPPRESS so a subcommand keeps a flag given before it.
+    # Every parser shares these two action objects, so a set_defaults() on
+    # any of them would reset the SUPPRESS; run() passes the real defaults
+    # as the starting namespace instead.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
+                        help="structured output")
+    common.add_argument("--cap", type=int, default=argparse.SUPPRESS,
+                        help=f"class enumeration cap (default {DEFAULT_CAP})")
     ap = argparse.ArgumentParser(
         prog="monoidkit",
         description="word problem, divisibility and cancellativity for "
         "positively presented monoids",
+        parents=[common],
     )
-    ap.set_defaults(json=False, cap=DEFAULT_CAP)
-    ap.add_argument("--json", action="store_true", help="structured output")
-    ap.add_argument("--cap", type=int, default=DEFAULT_CAP)
     sub = ap.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    def add(name: str, help: str) -> argparse.ArgumentParser:
-        sp = sub.add_parser(name, help=help)
-        _add_common(sp)
+    def add(name: str, help: str, handler, *positionals: str) -> argparse.ArgumentParser:
+        sp = sub.add_parser(name, help=help, parents=[common])
+        sp.set_defaults(handler=handler)
+        for pos in positionals:
+            sp.add_argument(pos)
         return sp
 
-    sp = add("parse", "parse a presentation file and report its classification")
-    sp.add_argument("source")
+    add("parse", "parse a presentation file and report its classification",
+        _do_parse, "source")
 
-    sp = add("class", "enumerate the equivalence class of a word")
-    sp.add_argument("source")
-    sp.add_argument("word")
+    sp = add("class", "enumerate the equivalence class of a word", _do_class, "source", "word")
     sp.add_argument("--full", action="store_true", help="list members regardless of size")
 
-    sp = add("equal", "decide whether two words are equal in the monoid")
-    sp.add_argument("source")
-    sp.add_argument("w1")
-    sp.add_argument("w2")
+    add("equal", "decide whether two words are equal in the monoid", _do_equal,
+        "source", "w1", "w2")
 
-    sp = add("divides", "divisibility with all quotients")
+    sp = add("divides", "divisibility with all quotients", _do_divides, "source", "u", "v")
     sp.add_argument("--side", choices=("left", "right"), required=True)
-    sp.add_argument("source")
-    sp.add_argument("u")
-    sp.add_argument("v")
 
-    sp = add("mcm", "minimal common right multiples up to a length bound")
-    sp.add_argument("source")
+    sp = add("mcm", "minimal common right multiples up to a length bound", _do_mcm, "source")
     sp.add_argument("words", nargs="+")
     sp.add_argument("--max-len", type=int, required=True)
 
-    sp = add("fundamental", "verify a fundamental element and report its permutation")
-    sp.add_argument("source")
-    sp.add_argument("word")
+    add("fundamental", "verify a fundamental element and report its permutation",
+        _do_fundamental, "source", "word")
 
-    sp = add("garside", "divisor sets of a word and the Garside test")
-    sp.add_argument("source")
-    sp.add_argument("word")
+    add("garside", "divisor sets of a word and the Garside test", _do_garside,
+        "source", "word")
 
-    sp = add("cancel-search", "exhaustive search for cancellation failures")
-    sp.add_argument("source")
+    sp = add("cancel-search", "exhaustive search for cancellation failures",
+             _do_cancel_search, "source")
     sp.add_argument("--max-len", type=int, required=True)
 
-    sp = add("claim", "reproduce a named bundled claim (exit 1 if it fails)")
+    sp = add("claim", "reproduce a named bundled claim (exit 1 if it fails)", _do_claim)
     sp.add_argument("name", help="M6 | M6p | M6p_completed | no-lcm | center")
     sp.add_argument("--id", default="all", help="sub-family for the k-indexed fixtures")
     sp.add_argument("--k", type=int, default=1)
@@ -119,25 +119,24 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, default=2)
     sp.add_argument("--max-len", type=int, default=None)
 
-    sp = add("gmn", "build the g(m,n) presentation; emit it or run a subcommand on it")
+    sp = add("gmn", "build the g(m,n) presentation; emit it or run a subcommand on it",
+             _do_gmn)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--emit", action="store_true", help="print the presentation file")
     sp.add_argument("--run", nargs=argparse.REMAINDER, default=None,
                     help="subcommand to run against the built presentation")
 
-    sp = add("group-equal", "decide equality of two group words ('~' marks inverses)")
-    sp.add_argument("source")
-    sp.add_argument("w1")
-    sp.add_argument("w2")
+    sp = add("group-equal", "decide equality of two group words ('~' marks inverses)",
+             _do_group_equal, "source", "w1", "w2")
     sp.add_argument("--assume-injective", action="store_true")
     sp.add_argument("--verify-to", type=int, default=None,
                     help="establish injectivity empirically up to this length")
     sp.add_argument("--delta", default=None,
                     help="fundamental element (default: product of all generators)")
 
-    sp = add("center-scan", "canonical central elements up to a length bound")
-    sp.add_argument("source")
+    sp = add("center-scan", "canonical central elements up to a length bound",
+             _do_center_scan, "source")
     sp.add_argument("--max-len", type=int, required=True)
 
     return ap
@@ -159,27 +158,23 @@ def _load(src: str) -> Presentation:
     return parse_presentation(text)
 
 
-def _wl(w: Word) -> list[str]:
-    return list(w)
-
-
 def _sorted_words(p: Presentation, words) -> list[Word]:
     return sorted(words, key=lambda w: (len(w), p.word_key(w)))
 
 
 # ---------------------------------------------------------------------------
-# handlers: (payload, text lines, bounds, exit code)
+# handlers: (args, presentation or None) -> (payload, text lines, bounds
+# besides the cap, exit code, presentation of the report)
 
 
 def _do_parse(args, p):
-    rels = [[_wl(r.lhs), _wl(r.rhs)] for r in p.relations]
     payload = {
-        "letters": list(p.letters),
+        "letters": p.letters,
         "relation_count": len(p.relations),
         "homogeneous": p.homogeneous,
         "letter_balanced": p.letter_balanced,
         "dummy_letters": sorted(p.dummy_letters),
-        "relations": rels,
+        "relations": [[r.lhs, r.rhs] for r in p.relations],
     }
     lines = [
         f"letters: {' '.join(p.letters)}",
@@ -188,7 +183,7 @@ def _do_parse(args, p):
         f"letter_balanced: {p.letter_balanced}",
         f"dummy_letters: {sorted(p.dummy_letters) or '{}'}",
     ]
-    return payload, lines, {"cap": args.cap}, 0
+    return payload, lines, {}, 0, p
 
 
 def _do_class(args, p):
@@ -196,24 +191,24 @@ def _do_class(args, p):
     cls = equivalence_class(w, p, args.cap)
     members = _sorted_words(p, cls.members)
     payload = {
-        "word": _wl(w),
+        "word": w,
         "size": len(cls),
-        "canonical": _wl(cls.canonical),
+        "canonical": cls.canonical,
         "truncated": cls.truncated,
     }
     lines = [f"size: {len(cls)}", f"canonical: {format_word(p, cls.canonical)}"]
     if args.full or len(members) <= _MEMBER_LIMIT:
-        payload["members"] = [_wl(m) for m in members]
+        payload["members"] = members
         lines += [f"  {format_word(p, m)}" for m in members]
     else:
         lines.append(f"  ({len(members)} members; use --full to list)")
-    return payload, lines, {"cap": args.cap}, 0
+    return payload, lines, {}, 0, p
 
 
 def _do_equal(args, p):
     u, v = parse_word(p, args.w1), parse_word(p, args.w2)
     res = equal(u, v, p, args.cap)
-    return {"equal": res}, [f"result: {str(res).lower()}"], {"cap": args.cap}, 0
+    return {"equal": res}, [f"result: {str(res).lower()}"], {}, 0, p
 
 
 def _do_divides(args, p):
@@ -221,12 +216,11 @@ def _do_divides(args, p):
     fn = left_divides if args.side == "left" else right_divides
     res = fn(u, v, p, args.cap)
     quots = _sorted_words(p, res.quotients)
-    payload = {"side": args.side, "divides": res.divides,
-               "quotients": [_wl(q) for q in quots]}
+    payload = {"side": args.side, "divides": res.divides, "quotients": quots}
     lines = [f"divides: {str(res.divides).lower()}"]
     if quots:
         lines.append("quotients: " + " ".join(format_word(p, q) for q in quots))
-    return payload, lines, {"cap": args.cap}, 0
+    return payload, lines, {}, 0, p
 
 
 def _do_mcm(args, p):
@@ -235,11 +229,11 @@ def _do_mcm(args, p):
     cm = _sorted_words(p, rep.common_multiples)
     mins = _sorted_words(p, rep.minimal)
     payload = {
-        "words": [_wl(w) for w in J],
+        "words": J,
         "bound": rep.bound,
-        "common_multiples": [_wl(w) for w in cm],
-        "minimal": [_wl(w) for w in mins],
-        "lcm_up_to_bound": None if rep.lcm_up_to_bound is None else _wl(rep.lcm_up_to_bound),
+        "common_multiples": cm,
+        "minimal": mins,
+        "lcm_up_to_bound": rep.lcm_up_to_bound,
     }
     lines = [
         f"common multiples up to length {rep.bound}: {len(cm)}",
@@ -247,7 +241,7 @@ def _do_mcm(args, p):
         "lcm up to bound: "
         + ("(absent)" if rep.lcm_up_to_bound is None else format_word(p, rep.lcm_up_to_bound)),
     ]
-    return payload, lines, {"cap": args.cap, "max_len": args.max_len}, 0
+    return payload, lines, {"max_len": args.max_len}, 0, p
 
 
 def _do_fundamental(args, p):
@@ -256,13 +250,13 @@ def _do_fundamental(args, p):
         cert = verify_fundamental(w, p, args.cap, strict=True)
     except NotFundamentalError as e:
         payload = {"fundamental": False, "reason": str(e), "atom": e.atom}
-        return payload, [f"fundamental: false ({e})"], {"cap": args.cap}, 0
+        return payload, [f"fundamental: false ({e})"], {}, 0, p
     payload = {
         "fundamental": True,
         "sigma": cert.sigma,
         "order": cert.order,
         "sigma_count": cert.sigma_count,
-        "quotients": {s: _wl(q) for s, q in cert.quotients.items()},
+        "quotients": cert.quotients,
     }
     sig = " ".join(f"{s}->{cert.sigma[s]}" for s in sorted(cert.sigma, key=p.index.__getitem__))
     lines = [
@@ -271,7 +265,7 @@ def _do_fundamental(args, p):
         f"order: {cert.order}",
         f"permutations found: {cert.sigma_count}",
     ]
-    return payload, lines, {"cap": args.cap}, 0
+    return payload, lines, {}, 0, p
 
 
 def _do_garside(args, p):
@@ -281,8 +275,8 @@ def _do_garside(args, p):
         "is_garside": rep.is_garside,
         "coincide": rep.coincide,
         "generate": rep.generate,
-        "left_divisors": [_wl(d) for d in _sorted_words(p, rep.left_divisors)],
-        "right_divisors": [_wl(d) for d in _sorted_words(p, rep.right_divisors)],
+        "left_divisors": _sorted_words(p, rep.left_divisors),
+        "right_divisors": _sorted_words(p, rep.right_divisors),
     }
     lines = [
         f"is_garside: {str(rep.is_garside).lower()}",
@@ -290,7 +284,7 @@ def _do_garside(args, p):
         f"divisors generate: {rep.generate}",
         f"left divisors: {len(rep.left_divisors)}, right divisors: {len(rep.right_divisors)}",
     ]
-    return payload, lines, {"cap": args.cap}, 0
+    return payload, lines, {}, 0, p
 
 
 def _do_cancel_search(args, p):
@@ -298,7 +292,7 @@ def _do_cancel_search(args, p):
     payload = {
         "count": len(fails),
         "failures": [
-            {"side": f.side, "context": _wl(f.context), "x": _wl(f.x), "y": _wl(f.y)}
+            {"side": f.side, "context": f.context, "x": f.x, "y": f.y}
             for f in fails
         ],
     }
@@ -308,7 +302,7 @@ def _do_cancel_search(args, p):
         f"x={format_word(p, f.x)} y={format_word(p, f.y)}"
         for f in fails
     ]
-    return payload, lines, {"cap": args.cap, "max_len": args.max_len}, 0
+    return payload, lines, {"max_len": args.max_len}, 0, p
 
 
 # claim machinery --------------------------------------------------------------
@@ -336,12 +330,10 @@ _FIXTURE_CLAIMS = {
 }
 
 
-def _do_claim(args, _p_unused=None):
-    if args.k < 1:
-        raise ParseError(f"--k must be at least 1, got {args.k}")
+def _do_claim(args, p):
     name = args.name.replace("-", "_") if args.name.startswith("M6") else args.name
     checks = []
-    bounds = {"cap": args.cap, "k": args.k}
+    bounds = {"k": args.k}
     if name in _FIXTURE_CLAIMS:
         p = fixture(name)
         families = _FIXTURE_CLAIMS[name]
@@ -357,8 +349,8 @@ def _do_claim(args, _p_unused=None):
                 "holds": res.holds,
                 "cancelled_holds": res.cancelled_holds,
                 "reproduced": res.holds and not res.cancelled_holds,
-                "pair": [_wl(lhs), _wl(rhs)],
-                "cancelled_pair": [_wl(cl), _wl(cr)],
+                "pair": [lhs, rhs],
+                "cancelled_pair": [cl, cr],
             })
     elif name == "no_lcm" or name == "no-lcm":
         if args.m < 2:
@@ -377,8 +369,8 @@ def _do_claim(args, _p_unused=None):
               and rep.lcm_up_to_bound is None and len(rep.minimal) > 1)
         checks.append({
             "id": "no-lcm",
-            "minimal": [_wl(w) for w in _sorted_words(p, rep.minimal)],
-            "predicted": [_wl(w) for w in _sorted_words(p, predicted)],
+            "minimal": _sorted_words(p, rep.minimal),
+            "predicted": _sorted_words(p, predicted),
             "lcm_up_to_bound": None,
             "reproduced": ok,
         })
@@ -395,7 +387,7 @@ def _do_claim(args, _p_unused=None):
         )
         checks.append({
             "id": "center",
-            "central": [_wl(w) for w in _sorted_words(p, found)],
+            "central": _sorted_words(p, found),
             "reproduced": ok,
         })
     else:
@@ -411,28 +403,25 @@ def _do_claim(args, _p_unused=None):
         lines.append(f"claim {c['id']}: {'ok' if c['reproduced'] else 'FAILED'}"
                      + (f" ({detail})" if detail else ""))
     lines.append(f"reproduced: {str(reproduced).lower()}")
-    return payload, lines, bounds, 0 if reproduced else 1
+    return payload, lines, bounds, 0 if reproduced else 1, None
 
 
-def _do_gmn(args):
+def _do_gmn(args, p):
     ctx = build_gmn(args.m, args.n)
-    if args.emit:
-        sys.stdout.write(serialize_presentation(ctx.presentation))
-        return None
     p = ctx.presentation
     payload = {
-        "letters": list(p.letters),
+        "letters": p.letters,
         "relation_count": len(p.relations),
-        "delta": _wl(ctx.delta),
-        "delta1": _wl(ctx.delta1),
-        "delta2": _wl(ctx.delta2),
+        "delta": ctx.delta,
+        "delta1": ctx.delta1,
+        "delta2": ctx.delta2,
     }
     lines = [
         f"letters: {' '.join(p.letters)}",
         f"relations: {len(p.relations)}",
         f"delta: {format_word(p, ctx.delta)}",
     ]
-    return payload, lines, {"cap": args.cap}, 0, p
+    return payload, lines, {}, 0, p
 
 
 def _do_group_equal(args, p):
@@ -449,52 +438,26 @@ def _do_group_equal(args, p):
         assume_injective=args.assume_injective,
         verify_cancellative_to=args.verify_to,
     )
-    bounds = {"cap": args.cap, "delta": _wl(delta)}
-    return {"equal": res}, [f"result: {str(res).lower()}"], bounds, 0
+    return {"equal": res}, [f"result: {str(res).lower()}"], {"delta": delta}, 0, p
 
 
 def _do_center_scan(args, p):
     found = center_scan(p, args.max_len, args.cap)
     words = _sorted_words(p, found)
-    payload = {"central": [_wl(w) for w in words]}
+    payload = {"central": words}
     lines = [f"central elements up to length {args.max_len}: "
              + (" ".join(format_word(p, w) for w in words) or "(none)")]
-    return payload, lines, {"cap": args.cap, "max_len": args.max_len}, 0
+    return payload, lines, {"max_len": args.max_len}, 0, p
 
 
-_HANDLERS = {
-    "parse": _do_parse,
-    "class": _do_class,
-    "equal": _do_equal,
-    "divides": _do_divides,
-    "mcm": _do_mcm,
-    "fundamental": _do_fundamental,
-    "garside": _do_garside,
-    "cancel-search": _do_cancel_search,
-    "group-equal": _do_group_equal,
-    "center-scan": _do_center_scan,
-}
-
-
-def _dispatch(args):
-    if args.command == "gmn":
-        return _do_gmn(args)
-    if args.command == "claim":
-        payload, lines, bounds, code = _do_claim(args)
-        return payload, lines, bounds, code, None
-    p = _load(args.source)
-    payload, lines, bounds, code = _HANDLERS[args.command](args, p)
-    return payload, lines, bounds, code, p
-
-
-def _emit_report(args, argv, payload, lines, bounds, pres, elapsed_ms, truncated=False):
+def _emit_report(args, argv, payload, lines, bounds, pres, elapsed_ms):
     if args.json:
         report = {
             "command": list(argv),
             "presentation_sha": presentation_digest(pres) if pres else None,
             "result": payload,
-            "bounds": bounds,
-            "truncated": truncated,
+            "bounds": {"cap": args.cap, **bounds},
+            "truncated": False,
             "elapsed_ms": elapsed_ms,
         }
         print(json.dumps(report, indent=2, sort_keys=True))
@@ -504,26 +467,32 @@ def _emit_report(args, argv, payload, lines, bounds, pres, elapsed_ms, truncated
             print(f"presentation: sha256:{presentation_digest(pres)[:16]}")
         for line in lines:
             print(line)
-        if truncated:
-            print("truncated: true")
         print(f"elapsed: {elapsed_ms} ms")
 
 
 def run(argv: list[str]) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(argv, argparse.Namespace(json=False, cap=DEFAULT_CAP))
         if args.command == "gmn" and args.run:
             cmd, *rest = args.run
             if cmd in ("gmn", "claim"):
                 return _fail(args, argv, 2, f"cannot nest {cmd!r} under gmn --run")
-            flags = ["--json"] * args.json + ["--cap", str(args.cap)]
-            args = parser.parse_args(flags + [cmd, f"gmn:{args.m},{args.n}"] + rest)
+            args = parser.parse_args([cmd, f"gmn:{args.m},{args.n}", *rest],
+                                     argparse.Namespace(json=args.json, cap=args.cap))
     except SystemExit as e:
         return int(e.code) if e.code else 0
+    for flag, least in _LEAST.items():
+        value = getattr(args, flag[2:].replace("-", "_"), None)
+        if value is not None and value < least:
+            return _fail(args, argv, 2, f"{flag} must be at least {least}, got {value}")
     t0 = time.perf_counter()
     try:
-        out = _dispatch(args)
+        if args.command == "gmn" and args.emit:
+            sys.stdout.write(serialize_presentation(build_gmn(args.m, args.n).presentation))
+            return 0
+        payload, lines, bounds, code, pres = args.handler(
+            args, _load(args.source) if "source" in args else None)
     except ParseError as e:
         return _fail(args, argv, 2, str(e))
     except CapExceededError as e:
@@ -532,16 +501,13 @@ def run(argv: list[str]) -> int:
         return _fail(args, argv, 4, str(e))
     except ValueError as e:
         return _fail(args, argv, 2, str(e))
-    if out is None:  # --emit wrote raw text
-        return 0
-    payload, lines, bounds, code, pres = out
     elapsed_ms = round((time.perf_counter() - t0) * 1000)
     _emit_report(args, argv, payload, lines, bounds, pres, elapsed_ms)
     return code
 
 
 def _fail(args, argv, code: int, message: str, truncated: bool = False) -> int:
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps({
             "command": list(argv),
             "error": message,

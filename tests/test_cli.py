@@ -1,12 +1,21 @@
 import json
-from pathlib import Path
+
+import pytest
 
 import monoidkit as mk
 from monoidkit.cli import run
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
-M6 = str(FIXTURES / "M6")
-G22 = str(FIXTURES / "g22")
+M6 = "M6"
+G22 = "gmn:2,2"
+
+
+@pytest.fixture
+def g22_file(tmp_path):
+    # g(2,2) read back from a file: a parsed presentation carries no
+    # cancellativity flag, while gmn:2,2 is built as a known cancellative one
+    path = tmp_path / "g22"
+    path.write_text(mk.serialize_presentation(mk.build_gmn(2, 2).presentation))
+    return str(path)
 
 
 def out_lines(capsys):
@@ -50,7 +59,7 @@ def test_json_flag_after_subcommand(capsys):
 def test_json_words_round_trip(capsys):
     assert run(["class", G22, "s.t1.t2", "--json"]) == 0
     rep = json_report(capsys)
-    p = mk.parse_presentation((FIXTURES / "g22").read_text())
+    p = mk.build_gmn(2, 2).presentation
     for toks in rep["result"]["members"]:
         w = tuple(toks)
         assert mk.parse_word(p, mk.format_word(p, w)) == w
@@ -103,13 +112,14 @@ def test_cancel_search(capsys):
     assert ("left", ("c",), tuple("deaf"), tuple("eafd")) in failures
 
 
-def test_gmn_run_matches_file(capsys):
-    # gmn --run CMD ARGS is CMD gmn:2,2 ARGS, and gmn:2,2 is the g22 file
+def test_gmn_run_matches_file(g22_file, capsys):
+    # gmn --run CMD ARGS is CMD gmn:2,2 ARGS, and gmn:2,2 is its emitted file
     for argv, file_argv in (
         (["gmn", "--m", "2", "--n", "2", "--run", "cancel-search", "--max-len", "5"],
-         ["cancel-search", G22, "--max-len", "5"]),
-        (["cancel-search", "gmn:2,2", "--max-len", "5"], ["cancel-search", G22, "--max-len", "5"]),
-        (["parse", "gmn:2,2"], ["parse", G22]),
+         ["cancel-search", g22_file, "--max-len", "5"]),
+        (["cancel-search", "gmn:2,2", "--max-len", "5"],
+         ["cancel-search", g22_file, "--max-len", "5"]),
+        (["parse", "gmn:2,2"], ["parse", g22_file]),
     ):
         assert run(argv + ["--json"]) == 0
         rep = json_report(capsys)
@@ -153,10 +163,10 @@ def test_gmn_emit_round_trips(capsys):
     assert p == mk.build_gmn(3, 2).presentation
 
 
-def test_group_equal(capsys):
-    assert run(["group-equal", G22, "t1.u1.t1~.u1~", "1", "--verify-to", "4"]) == 0
+def test_group_equal(g22_file, capsys):
+    assert run(["group-equal", g22_file, "t1.u1.t1~.u1~", "1", "--verify-to", "4"]) == 0
     assert "result: true" in capsys.readouterr().out
-    assert run(["gmn", "--m", "2", "--n", "2", "--run", "group-equal", G22,
+    assert run(["gmn", "--m", "2", "--n", "2", "--run", "group-equal", "M6",
                 "t1.t2.t1~.t2~", "1"]) == 2  # --run supplies the source itself
     capsys.readouterr()
     assert run(["gmn", "--m", "2", "--n", "2", "--run", "group-equal",
@@ -164,8 +174,8 @@ def test_group_equal(capsys):
     assert "result: false" in capsys.readouterr().out
 
 
-def test_group_equal_refuses_without_injectivity(capsys):
-    code = run(["group-equal", G22, "t1.u1.t1~.u1~", "1"])
+def test_group_equal_refuses_without_injectivity(g22_file, capsys):
+    code = run(["group-equal", g22_file, "t1.u1.t1~.u1~", "1"])
     assert code == 4
 
 
@@ -224,7 +234,64 @@ def test_usage_errors(capsys):
     capsys.readouterr()
     for k in ("0", "-2"):
         assert run(["claim", "M6", "--k", k]) == 2
-        assert "--k must be at least 1" in capsys.readouterr().err
+        assert f"--k must be at least 1, got {k}" in capsys.readouterr().err
+    # a bound below its least value is a usage error, checked before any work
+    for argv, message in (
+        (["class", M6, "a", "--cap", "0"], "--cap must be at least 1, got 0"),
+        (["--cap", "-1", "equal", M6, "a", "a"], "--cap must be at least 1, got -1"),
+        (["cancel-search", M6, "--max-len", "-3"], "--max-len must be at least 0, got -3"),
+        (["center-scan", G22, "--max-len", "-1"], "--max-len must be at least 0, got -1"),
+        (["mcm", G22, "t1", "t2", "--max-len", "-1"], "--max-len must be at least 0, got -1"),
+        (["claim", "no-lcm", "--max-len", "-1"], "--max-len must be at least 0, got -1"),
+        (["group-equal", G22, "t1", "1", "--verify-to", "-1"],
+         "--verify-to must be at least 0, got -1"),
+        (["gmn", "--m", "2", "--n", "2", "--cap", "0", "--run", "equal", "t1", "t1"],
+         "--cap must be at least 1, got 0"),
+    ):
+        assert run(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert run(argv + ["--json"]) == 2
+        rep = json_report(capsys)
+        assert rep["error"] == message and rep["exit_code"] == 2
+    # the least values themselves are accepted
+    assert run(["class", M6, "a", "--cap", "1"]) == 0
+    assert "size: 1" in out_lines(capsys)
+    assert run(["center-scan", G22, "--max-len", "0"]) == 0
+    assert "central elements up to length 0: 1" in out_lines(capsys)
+
+
+# one invocation of every subcommand that takes a source
+SOURCED = {
+    "parse": ["parse", M6],
+    "class": ["class", M6, "cdeaf"],
+    "equal": ["equal", M6, "cdeaf", "ceafd"],
+    "divides": ["divides", "--side", "left", G22, "t1", "s.t1.t2"],
+    "mcm": ["mcm", G22, "t1", "t2", "--max-len", "3"],
+    "fundamental": ["fundamental", G22, "s.t1.t2.u1.u2"],
+    "garside": ["garside", G22, "s.t1.t2.u1.u2"],
+    "cancel-search": ["cancel-search", M6, "--max-len", "4"],
+    "group-equal": ["group-equal", G22, "t1.u1.t1~.u1~", "1", "--verify-to", "3"],
+    "center-scan": ["center-scan", G22, "--max-len", "3"],
+    "gmn-run": ["gmn", "--m", "2", "--n", "2", "--run", "equal", "t1.u1", "u1.t1"],
+}
+
+
+@pytest.mark.parametrize("name", SOURCED)
+def test_common_flags_before_and_after_command(name, capsys):
+    # --json and --cap mean the same wherever they stand; a default set on
+    # the shared flag actions would make a subcommand drop a flag given
+    # before it
+    command = SOURCED[name]
+    reports = []
+    for argv in (["--json", "--cap", "5000"] + command,
+                 command + ["--json", "--cap", "5000"],
+                 ["--json"] + command + ["--cap", "5000"],
+                 ["--cap", "5000"] + command + ["--json"]):
+        assert run(argv) == 0, argv
+        reports.append(json_report(capsys))
+    assert reports[0]["bounds"]["cap"] == 5000
+    for rep in reports[1:]:
+        assert (rep["result"], rep["bounds"]) == (reports[0]["result"], reports[0]["bounds"])
 
 
 def test_cap_exceeded_exit_code(capsys):

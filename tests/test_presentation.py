@@ -1,5 +1,3 @@
-from pathlib import Path
-
 import pytest
 
 import monoidkit as mk
@@ -141,15 +139,3 @@ def test_parse_word_and_format(m6, p22):
     assert mk.format_word(m6, ()) == "1"
     with pytest.raises(ParseError):
         mk.parse_word(m6, "xyz")
-
-
-def test_fixture_files_match_their_sources():
-    # each file under fixtures/ restates an embedded text or a built g(m,n)
-    expected = {name: mk.fixture(name) for name in mk.fixture_names()}
-    expected["g22"] = mk.build_gmn(2, 2).presentation
-    expected["g32"] = mk.build_gmn(3, 2).presentation
-    folder = Path(__file__).resolve().parent.parent / "fixtures"
-    files = sorted(f.name for f in folder.iterdir())
-    assert files == sorted(expected)
-    for name in files:
-        assert mk.parse_presentation((folder / name).read_text()) == expected[name], name
