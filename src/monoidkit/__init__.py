@@ -2,7 +2,8 @@
 
 Word-problem decision by rewriting closure, divisibility and common-multiple
 lattices, fundamental/Garside element verification, bounded cancellativity
-search, and group word equality via central lifting.
+search, the g(m,n) family with its division laws, and group word equality
+through delta^j * r forms.
 """
 
 from .errors import (
@@ -46,26 +47,20 @@ from .garside import (
 )
 from .cancel import (
     CancellationFailure,
-    ClaimCheck,
     add_relation,
     search_failures,
-    verify_claim,
 )
 from .gmn import (
     CASES,
-    ConsecutiveWord,
     DivisionLawReport,
     DivisionLawViolation,
     GmnContext,
     anti_involution,
-    as_consecutive,
     build_gmn,
     check_division_law,
     delta_quotient,
     in_rm,
     split_tail_run,
-    tail_run,
-    tail_run_complement,
 )
 from .groupwords import (
     LiftResult,
@@ -118,24 +113,18 @@ __all__ = [
     "verify_fundamental",
     "verify_garside",
     "CancellationFailure",
-    "ClaimCheck",
     "add_relation",
     "search_failures",
-    "verify_claim",
     "CASES",
-    "ConsecutiveWord",
     "DivisionLawReport",
     "DivisionLawViolation",
     "GmnContext",
     "anti_involution",
-    "as_consecutive",
     "build_gmn",
     "check_division_law",
     "delta_quotient",
     "in_rm",
     "split_tail_run",
-    "tail_run",
-    "tail_run_complement",
     "LiftResult",
     "SignedWord",
     "center_scan",

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .presentation import Presentation, Relation, Word
-from .rewrite import DEFAULT_CAP, engine, equal, _require_homogeneous
+from .rewrite import DEFAULT_CAP, engine, _require_homogeneous
 
 
 @dataclass(frozen=True)
@@ -24,12 +24,6 @@ class CancellationFailure:
     context: Word
     x: Word
     y: Word
-
-
-@dataclass(frozen=True)
-class ClaimCheck:
-    holds: bool
-    cancelled_holds: bool
 
 
 def search_failures(
@@ -58,21 +52,6 @@ def search_failures(
     key = p.word_key
     failures.sort(key=lambda f: (len(f.x), f.side, key(f.context), key(f.x), key(f.y)))
     return failures
-
-
-def verify_claim(
-    p: Presentation,
-    lhs: Word,
-    rhs: Word,
-    cancelled_lhs: Word,
-    cancelled_rhs: Word,
-    cap: int = DEFAULT_CAP,
-) -> ClaimCheck:
-    """Evaluate a targeted pair of equalities (cheap check for long witnesses)."""
-    return ClaimCheck(
-        holds=equal(lhs, rhs, p, cap),
-        cancelled_holds=equal(cancelled_lhs, cancelled_rhs, p, cap),
-    )
 
 
 def add_relation(p: Presentation, u: Word, v: Word) -> Presentation:

@@ -16,7 +16,6 @@ division laws which together give left cancellativity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from itertools import product
 
 from .cancel import search_failures
@@ -54,24 +53,6 @@ class GmnContext:
         raise ValueError(f"{letter!r} is not a generator of g({self.m},{self.n})")
 
 
-@dataclass(frozen=True)
-class ConsecutiveWord:
-    """The word t_start t_(start+1) .. t_end (family "t") or the u analog."""
-
-    family: str
-    start: int
-    end: int
-
-    def __post_init__(self):
-        if self.family not in ("t", "u"):
-            raise ValueError("family must be 't' or 'u'")
-        if not 1 <= self.start <= self.end:
-            raise ValueError("need 1 <= start <= end")
-
-    def word(self) -> Word:
-        return tuple(f"{self.family}{i}" for i in range(self.start, self.end + 1))
-
-
 def build_gmn(m: int, n: int) -> GmnContext:
     if m < 1 or n < 1:
         raise ValueError("need m >= 1 and n >= 1")
@@ -107,16 +88,6 @@ def _family_indices(ctx: GmnContext, w: Word) -> tuple[str, list[int]]:
     return fam, [ctx.family_of(x)[1] for x in w]
 
 
-def as_consecutive(ctx: GmnContext, w: Word) -> ConsecutiveWord | None:
-    """The run t_i t_(i+1) .. t_j equal to ``w`` letter by letter, if any."""
-    if not w:
-        return None
-    fam, idx = _family_indices(ctx, w)
-    if all(idx[k + 1] == idx[k] + 1 for k in range(len(idx) - 1)):
-        return ConsecutiveWord(fam, idx[0], idx[-1])
-    return None
-
-
 def split_tail_run(ctx: GmnContext, w: Word) -> tuple[Word, Word]:
     """Split a one-family word as rest + maximal consecutive-index suffix run.
 
@@ -134,14 +105,6 @@ def split_tail_run(ctx: GmnContext, w: Word) -> tuple[Word, Word]:
     return w[:start], w[start:]
 
 
-def tail_run(ctx: GmnContext, w: Word) -> Word:
-    return split_tail_run(ctx, w)[1]
-
-
-def tail_run_complement(ctx: GmnContext, w: Word) -> Word:
-    return split_tail_run(ctx, w)[0]
-
-
 def delta_quotient(ctx: GmnContext, family: int, w: Word) -> Word:
     """The unique q with delta_family = q * w, for w a consecutive run, s, or empty.
 
@@ -157,11 +120,11 @@ def delta_quotient(ctx: GmnContext, family: int, w: Word) -> Word:
         return ("s",) + full
     if w == ("s",):
         return full
-    run = as_consecutive(ctx, w)
-    if run is None or run.family != fam_name or run.end > size:
+    fam, idx = _family_indices(ctx, w)
+    if fam != fam_name or idx != list(range(idx[0], idx[0] + len(idx))):
         raise ValueError(f"{w!r} is not a consecutive {fam_name!r}-run, 's', or empty")
-    after = tuple(f"{fam_name}{i}" for i in range(run.end + 1, size + 1))
-    before = tuple(f"{fam_name}{i}" for i in range(1, run.start))
+    after = tuple(f"{fam_name}{i}" for i in range(idx[-1] + 1, size + 1))
+    before = tuple(f"{fam_name}{i}" for i in range(1, idx[0]))
     return after + ("s",) + before
 
 
@@ -240,15 +203,18 @@ def check_division_law(
                                                w(u) with no full u1..un suffix
       vi   u_i X = w(u) Y, mirrored
 
-    where D1s, D1t_i, D1C(w) abbreviate quotients of delta1 (delta2 for the
-    mirrored cases) by s, t_i and the tail run C(w).  Case i is left
-    cancellation itself: it is read off ``search_failures``, one instance
-    (and one violation v X, v Y) per left failure, so v runs over one letter
-    per letter class, as the search does; that differs from every letter
-    only when two generators are equal.  Both sides of every other instance
-    and every witness pair are read off the graded class tables
-    (``RewriteEngine.left_multiples``), never by blind enumeration; ``cap``
-    bounds closures only, and the check builds none.
+    where R(w) is w without its tail run C(w), and D1s, D1t_i, D1C(w)
+    abbreviate quotients of delta1 (delta2 for iv and vi) by s, t_i and C(w).
+    Case i is left cancellation itself: it is read off ``search_failures``,
+    one instance (and one violation v X, v Y) per left failure, so v runs
+    over one letter per letter class, as the search does; that differs from
+    every letter only when two generators are equal.  Cases ii-vi differ only
+    in their heads a, b and their witness pairs, and one ``_check_law`` runs
+    them all: both sides of every instance and every witness pair are read
+    off the graded class tables (``RewriteEngine.left_multiples``), never by
+    blind enumeration, and violations come by class of the product, then
+    (a, X), then (b, Y).  ``cap`` bounds closures only, and the check builds
+    none.
     """
     if case not in CASES:
         raise ValueError(f"case must be one of {CASES}")
@@ -258,14 +224,39 @@ def check_division_law(
         instances = len(pairs)
     else:
         eng = engine(ctx.presentation)
-        handler = {
-            "ii": _check_case_ii,
-            "iii": partial(_check_case_iii, family=1),
-            "iv": partial(_check_case_iii, family=2),
-            "v": partial(_check_case_v, family=1),
-            "vi": partial(_check_case_v, family=2),
-        }[case]
-        instances, raw = handler(ctx, eng, max_len)
+        family = 2 if case in ("iv", "vi") else 1
+        fam, other = _fam_chars(ctx, eng, family), _fam_chars(ctx, eng, 3 - family)
+
+        def split(w):
+            # R(w), and the quotient of delta_family by C(w)
+            rest, run = split_tail_run(ctx, eng.decode(w))
+            return eng.encode(rest), eng.encode(delta_quotient(ctx, family, run))
+
+        if case == "ii":
+            heads = fam, other
+
+            def witnesses(ti, uj, xlen):
+                return [(uj, ti)]
+        elif case in ("iii", "iv"):
+            heads = [eng.encode(("s",))], _words(fam, 1, max_len)
+
+            def witnesses(s, w, xlen):
+                rest, quot = split(w)
+                return [("".join(fam) + rest, quot)]  # "".join(fam) = D1s
+        else:
+            heads = fam, _words(fam, 1, max_len)
+
+            def witnesses(ti, w, xlen):
+                if w[0] == ti:
+                    return None  # t_i left-divides w(t)
+                rest, quot = split(w)
+                d1ti = eng.encode(delta_quotient(ctx, family, eng.decode(ti)))
+                return [
+                    (wu + d1ti + rest, wu + quot)
+                    for wu in _words(other, 0, xlen - len(d1ti) - len(rest))
+                    if not wu.endswith("".join(other))
+                ]
+        instances, raw = _check_law(eng, max_len, *heads, witnesses)
         pairs = [(eng.decode(a), eng.decode(b)) for a, b in raw]
     violations = tuple(DivisionLawViolation(case, a, b) for a, b in pairs)
     return DivisionLawReport(case, max_len, instances, violations)
@@ -281,15 +272,16 @@ def _words(letters: tuple[str, ...], lo: int, hi: int) -> list[str]:
     return sorted("".join(w) for k in range(lo, hi + 1) for w in product(letters, repeat=k))
 
 
-def _check_law(eng, max_len, heads_x, heads_y, witnesses, heads_first=False):
+def _check_law(eng, max_len, heads_x, heads_y, witnesses):
     """Instances of  a X = b Y  implies  X = p1 Z and Y = p2 Z  for some Z and
     some (p1, p2) in witnesses(a, b, |X|), at total lengths 2..max_len.
 
     a runs over heads_x and b over heads_y, both sorted; witnesses returns
     None when (a, b) is no instance of the law.  a X and b Y meet when
     left_multiples puts them in one class, and a witness pair holds when (X, Y)
-    is (class of p1 Z, class of p2 Z) for one Z.  Instances run by class of
-    the product, then (a, X), then (b, Y); with heads_first by a, b, X, Y.
+    is (class of p1 Z, class of p2 Z) for one Z.  Instances, and so the
+    violations (a X, b Y), run by class of the product, then (a, X), then
+    (b, Y).
     """
     multiples: dict[tuple[str, int], list[int]] = {}
 
@@ -311,10 +303,7 @@ def _check_law(eng, max_len, heads_x, heads_y, witnesses, heads_first=False):
         left, right = by_class(heads_x, n), by_class(heads_y, n)
         reached: dict[tuple[str, str], set[tuple[int, int]] | None] = {}
         for c in sorted(left.keys() & right.keys()):
-            pairs = list(product(left[c], right[c]))
-            if heads_first:
-                pairs.sort(key=lambda q: (q[0][0], q[1][0]))
-            for (a, x), (b, y) in pairs:
+            for (a, x), (b, y) in product(left[c], right[c]):
                 xlen, ylen = n - len(a), n - len(b)
                 if (a, b) not in reached:
                     ws = witnesses(a, b, xlen)
@@ -330,45 +319,3 @@ def _check_law(eng, max_len, heads_x, heads_y, witnesses, heads_first=False):
                         (a + eng.partition(xlen)[x], b + eng.partition(ylen)[y])
                     )
     return instances, violations
-
-
-def _check_case_ii(ctx, eng, max_len):
-    ts, us = _fam_chars(ctx, eng, 1), _fam_chars(ctx, eng, 2)
-    return _check_law(eng, max_len, ts, us, lambda ti, uj, _: [(uj, ti)], heads_first=True)
-
-
-def _run_split(ctx, eng, family, w):
-    """The tail-run complement of w and the delta quotient of its tail run."""
-    rest, run = split_tail_run(ctx, eng.decode(w))
-    return eng.encode(rest), eng.encode(delta_quotient(ctx, family, run))
-
-
-def _check_case_iii(ctx, eng, max_len, family):
-    fam = _fam_chars(ctx, eng, family)
-    quot_by_s = "".join(fam)  # quotient of delta_family by the letter s
-
-    def witnesses(s, w, xlen):
-        rest, quot = _run_split(ctx, eng, family, w)
-        return [(quot_by_s + rest, quot)]
-
-    s_char = eng.encode(("s",))
-    return _check_law(eng, max_len, [s_char], _words(fam, 1, max_len), witnesses)
-
-
-def _check_case_v(ctx, eng, max_len, family):
-    fam = _fam_chars(ctx, eng, family)
-    other = _fam_chars(ctx, eng, 3 - family)
-    full_other = "".join(other)
-
-    def witnesses(ti, w, xlen):
-        if w[0] == ti:
-            return None  # t_i left-divides w(t)
-        rest, quot = _run_split(ctx, eng, family, w)
-        d1ti = eng.encode(delta_quotient(ctx, family, eng.decode(ti)))
-        return [
-            (wu + d1ti + rest, wu + quot)
-            for wu in _words(other, 0, xlen - len(d1ti) - len(rest))
-            if not wu.endswith(full_other)
-        ]
-
-    return _check_law(eng, max_len, fam, _words(fam, 1, max_len), witnesses)

@@ -29,7 +29,7 @@ normal form, since the monoids at hand need not have lcms.
 The verdict is only meaningful when the monoid embeds into the group, since
 delta^i * r1 = r2 is then read in the monoid; that is why comparison refuses
 to run unless the presentation is proven cancellative, checked empirically to
-a stated bound, or explicitly overridden.
+a stated bound (and not flagged non-cancellative), or explicitly overridden.
 
 Signed-word syntax: the token suffix ``~`` marks an inverse (``s~``, ``t1~``).
 """
@@ -226,7 +226,8 @@ def group_equal(
 
     Refuses with InjectivityNotEstablishedError unless the presentation is
     flagged proven cancellative, ``verify_cancellative_to`` finds no
-    cancellation failure up to that bound, or ``assume_injective`` is set.
+    cancellation failure up to that bound and the presentation is not
+    flagged non-cancellative, or ``assume_injective`` is set.
     A False under a mere assumption is only as good as the assumption.
 
     ``cap`` bounds each closure, and closures are taken only of delta, of
@@ -245,6 +246,11 @@ def group_equal(
             raise InjectivityNotEstablishedError(
                 f"found {len(failures)} cancellation failures up to length "
                 f"{verify_cancellative_to}; the monoid does not embed"
+            )
+        if p.cancellative is False:
+            raise InjectivityNotEstablishedError(
+                f"no cancellation failure up to length {verify_cancellative_to}, but "
+                "the presentation is flagged non-cancellative; the monoid does not embed"
             )
     return _DeltaForms(p, cert, cap).equal(w1, w2)
 

@@ -77,21 +77,17 @@ def test_multi_letter_contexts_imply_letter_failures(m6):
 
 
 def test_verify_claim_m6p(m6p):
-    res = mk.verify_claim(m6p, W("dbcefa"), W("dbefac"), W("cefa"), W("efac"))
-    assert res.holds and not res.cancelled_holds
+    # the claim: the pair is equal and the pair with the context cancelled is not
+    assert mk.equal(W("dbcefa"), W("dbefac"), m6p)
+    assert not mk.equal(W("cefa"), W("efac"), m6p)
 
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_verify_claim_m6p_completed(m6pc, k):
     lhs = W("acd" + "e" * (k + 1) + "abf")
     rhs = W("d" + "e" * k + "aabcef")
-    res = mk.verify_claim(m6pc, lhs, rhs, lhs[:-1], rhs[:-1])
-    assert res.holds and not res.cancelled_holds
-
-
-def test_verify_claim_trivial(m6):
-    res = mk.verify_claim(m6, W("ab"), W("ab"), (), ())
-    assert res.holds and res.cancelled_holds
+    assert mk.equal(lhs, rhs, m6pc)
+    assert not mk.equal(lhs[:-1], rhs[:-1], m6pc)
 
 
 def test_add_relation_builds_completed_fixture(m6p, m6pc):

@@ -179,6 +179,14 @@ def test_group_equal_refuses_without_injectivity(g22_file, capsys):
     assert code == 4
 
 
+def test_group_equal_refuses_flagged_fixture(capsys):
+    # M6 has no failure up to length 4 but is flagged non-cancellative
+    assert run(["group-equal", M6, "cdeaf", "ceafd", "--verify-to", "4"]) == 4
+    assert "flagged non-cancellative" in capsys.readouterr().err
+    assert run(["group-equal", M6, "cdeaf", "ceafd", "--assume-injective"]) == 0
+    assert "result: true" in capsys.readouterr().out
+
+
 def test_center_scan(capsys):
     assert run(["center-scan", G22, "--max-len", "5", "--json"]) == 0
     rep = json_report(capsys)
@@ -199,6 +207,19 @@ def test_claims(capsys):
     capsys.readouterr()
     assert run(["claim", "M6", "--id", "cdea"]) == 0
     capsys.readouterr()
+    # the least bounds at which the witnesses appear: m+2 and m+n+1
+    assert run(["claim", "no-lcm", "--max-len", "4"]) == 0
+    capsys.readouterr()
+    assert run(["claim", "center", "--max-len", "5"]) == 0
+    capsys.readouterr()
+
+
+def test_claim_no_lcm_reports_the_lcm_found(capsys):
+    # g(2,1) has an lcm of t1 and t2, so the claim does not reproduce there
+    assert run(["claim", "no-lcm", "--m", "2", "--n", "1", "--json"]) == 1
+    claim = json_report(capsys)["result"]["claims"][0]
+    assert claim["lcm_up_to_bound"] == ["s", "t1", "t2"]
+    assert claim["minimal"] == [["s", "t1", "t2"]]
 
 
 def test_claim_unknown(capsys):
@@ -247,12 +268,26 @@ def test_usage_errors(capsys):
          "--verify-to must be at least 0, got -1"),
         (["gmn", "--m", "2", "--n", "2", "--cap", "0", "--run", "equal", "t1", "t1"],
          "--cap must be at least 1, got 0"),
+        # a claim bound below its witnesses' length could not decide it
+        (["claim", "no-lcm", "--max-len", "3"], "--max-len must be at least 4 for claim no-lcm, got 3"),
+        (["claim", "center", "--max-len", "2"], "--max-len must be at least 5 for claim center, got 2"),
+        (["claim", "no-lcm", "--m", "3", "--max-len", "4"],
+         "--max-len must be at least 5 for claim no-lcm, got 4"),
+        (["claim", "center", "--n", "3", "--max-len", "5"],
+         "--max-len must be at least 6 for claim center, got 5"),
     ):
         assert run(argv) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert run(argv + ["--json"]) == 2
         rep = json_report(capsys)
         assert rep["error"] == message and rep["exit_code"] == 2
+    # --run with no command after it (--json goes first: --run takes the rest)
+    argv = ["gmn", "--m", "2", "--n", "2", "--run"]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == "error: gmn --run needs a command to run\n"
+    assert run(["--json", *argv]) == 2
+    rep = json_report(capsys)
+    assert rep["error"] == "gmn --run needs a command to run" and rep["exit_code"] == 2
     # the least values themselves are accepted
     assert run(["class", M6, "a", "--cap", "1"]) == 0
     assert "size: 1" in out_lines(capsys)

@@ -1,9 +1,9 @@
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
 import monoidkit as mk
-from monoidkit import ConsecutiveWord
 
 from conftest import random_word
 
@@ -39,14 +39,14 @@ def test_relation_count_formula(m, n):
 
 
 def test_tail_run(g22):
-    assert mk.tail_run(g22, ("t2", "t1", "t2")) == ("t1", "t2")
-    assert mk.tail_run_complement(g22, ("t2", "t1", "t2")) == ("t2",)
-    assert mk.tail_run(g22, ("t1",)) == ("t1",)
-    assert mk.tail_run_complement(g22, ("t1",)) == ()
-    assert mk.tail_run(g22, ("u2", "u1")) == ("u1",)
+    assert mk.split_tail_run(g22, ("t2", "t1", "t2")) == (("t2",), ("t1", "t2"))
+    assert mk.split_tail_run(g22, ("t1",)) == ((), ("t1",))
+    assert mk.split_tail_run(g22, ("t1", "t2")) == ((), ("t1", "t2"))
+    assert mk.split_tail_run(g22, ("t2", "t1")) == (("t2",), ("t1",))
+    assert mk.split_tail_run(g22, ("u2", "u1")) == (("u2",), ("u1",))
     assert mk.split_tail_run(g22, ()) == ((), ())
     with pytest.raises(ValueError, match="mixes"):
-        mk.tail_run(g22, ("t1", "u1"))
+        mk.split_tail_run(g22, ("t1", "u1"))
 
 
 def test_tail_run_reassembles(g22, rng):
@@ -57,14 +57,8 @@ def test_tail_run_reassembles(g22, rng):
         assert rest + run == w
         if w:
             assert len(run) >= 1
-            assert mk.as_consecutive(g22, run) is not None
-
-
-def test_as_consecutive(g22):
-    assert mk.as_consecutive(g22, ("t1", "t2")) == ConsecutiveWord("t", 1, 2)
-    assert mk.as_consecutive(g22, ("t2", "t1")) is None
-    assert mk.as_consecutive(g22, ()) is None
-    assert ConsecutiveWord("u", 1, 2).word() == ("u1", "u2")
+            # a tail run is consecutive: it is its own tail run
+            assert mk.split_tail_run(g22, run) == ((), run)
 
 
 def test_delta_quotient_values(g22):
@@ -73,10 +67,10 @@ def test_delta_quotient_values(g22):
     assert mk.delta_quotient(g22, 1, ("s",)) == ("t1", "t2")
     assert mk.delta_quotient(g22, 1, ()) == ("s", "t1", "t2")
     assert mk.delta_quotient(g22, 2, ("u1",)) == ("u2", "s")
-    with pytest.raises(ValueError):
-        mk.delta_quotient(g22, 1, ("t2", "t1"))
-    with pytest.raises(ValueError):
-        mk.delta_quotient(g22, 1, ("u1",))
+    assert mk.delta_quotient(g22, 2, ("u1", "u2")) == ("s",)
+    for w in (("t2", "t1"), ("t1", "t1"), ("u1",), ("t1", "u2"), ("s", "t1")):
+        with pytest.raises(ValueError):
+            mk.delta_quotient(g22, 1, w)
 
 
 def test_delta_quotient_divides(g22):
@@ -84,7 +78,7 @@ def test_delta_quotient_divides(g22):
     p = ctx.presentation
     for i in range(1, 4):
         for j in range(i, 4):
-            w = ConsecutiveWord("t", i, j).word()
+            w = tuple(f"t{k}" for k in range(i, j + 1))
             res = mk.right_divides(w, ctx.delta1, p)
             assert res.divides
             q = mk.delta_quotient(ctx, 1, w)
@@ -231,6 +225,38 @@ def test_division_law_case_i_exact_violations():
     }
     assert rep.instances == len(rep.violations) == 9
     assert {(".".join(v.lhs), ".".join(v.rhs)) for v in rep.violations} == expected
+
+
+# case: (max_len, instances, {(lhs, rhs): multiplicity}) on g(2,2) + t2 t1 = u1 s
+EXACT_VIOLATIONS = {
+    "ii": (3, 30, {
+        ("t2.t1", "u1.s"): 1, ("t2.t1.s", "u1.s.s"): 1, ("t2.t1.t1", "u1.s.t1"): 1,
+        ("t2.t1.t2", "u1.s.t2"): 1, ("t2.t1.u1", "u1.s.u1"): 1, ("t2.t1.u2", "u1.s.u2"): 1,
+    }),
+    "iii": (4, 25, {("s.u1.u2.u1", "t2.t1.u1.u2"): 2}),
+    "iv": (4, 28, {
+        ("s.t1.t2.t2", "u1.s.t2.s"): 1, ("s.u1.u2.u1", "u1.t2.t1.u2"): 1,
+        ("s.u1.u2.u1", "u1.u1.s.u2"): 1, ("s.u1.u2.u1", "u1.u2.t2.t1"): 1,
+        ("s.u1.u2.u1", "u1.u2.u1.s"): 1,
+    }),
+    "v": (4, 42, {
+        ("t1.t2.t2.t1", "t2.t1.t1.t2"): 4, ("t1.t2.t2.t1", "t2.t2.t1.t1"): 3,
+        ("t2.t1.t1.t2", "t1.t2.t2.t1"): 4, ("t2.t2.t1.t1", "t1.t2.t2.t1"): 2,
+    }),
+    "vi": (3, 6, {
+        ("u1.s.u2", "u2.t2.t1"): 1, ("u1.s.u2", "u2.u1.s"): 1, ("u2.t2.t1", "u1.s.u2"): 1,
+    }),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXACT_VIOLATIONS))
+def test_division_law_exact_violations(case):
+    max_len, instances, expected = EXACT_VIOLATIONS[case]
+    ctx = _with_relation(mk.build_gmn(2, 2), "t2 t1", "u1 s")
+    rep = mk.check_division_law(ctx, case, max_len)
+    assert rep.instances == instances
+    assert Counter((".".join(v.lhs), ".".join(v.rhs)) for v in rep.violations) == expected
+    assert all(v.case == case for v in rep.violations)
 
 
 # (instances, violations) of cases i..vi at total length 5

@@ -120,6 +120,21 @@ def test_group_equal_requires_injectivity(m6, m6p):
     assert mk.group_equal(w, w, m6, cert6, assume_injective=True)
 
 
+def test_group_equal_refuses_flagged_presentation(m6, m6pc):
+    # a bound below the first failure finds none, but the fixtures are
+    # flagged non-cancellative, so the search cannot establish injectivity
+    cert6 = mk.verify_fundamental(tuple("abcdef"), m6)
+    w = tuple((x, 1) for x in "ab")
+    assert mk.search_failures(m6, 4) == []
+    with pytest.raises(InjectivityNotEstablishedError, match="flagged non-cancellative"):
+        mk.group_equal(w, w, m6, cert6, verify_cancellative_to=4)
+    assert mk.group_equal(w, w, m6, cert6, assume_injective=True, verify_cancellative_to=4)
+    cert = mk.verify_fundamental(tuple(m6pc.letters), m6pc)
+    assert cert is not None
+    with pytest.raises(InjectivityNotEstablishedError, match="flagged non-cancellative"):
+        mk.group_equal(w, w, m6pc, cert, verify_cancellative_to=6)
+
+
 def test_group_equal_empirical_route(free2):
     # free monoids have no failures; the empirical route accepts them
     cert = mk.verify_fundamental(("a", "b"), free2)
