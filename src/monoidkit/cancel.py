@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .presentation import Presentation, Relation, Word
-from .rewrite import DEFAULT_CAP, engine, _require_homogeneous
+from .rewrite import DEFAULT_CAP, collision_groups, engine, _require_homogeneous
 
 
 @dataclass(frozen=True)
@@ -31,21 +31,24 @@ def search_failures(
 ) -> list[CancellationFailure]:
     """All single-letter cancellation failures with product length <= max_len.
 
-    For each length n and context letter g, the class tables group the
+    For each context letter g and length n, the class tables group the
     length-n classes by the class of g*x (left) and of x*g (right); every
     two classes in one group are a failure, so no pair of classes is ever
-    compared.  ``cap`` bounds closures only, and this search builds none.
+    compared.  The left images of one letter are carried from each length
+    to the next, so the images of one letter and length are alive at a
+    time.  ``cap`` bounds closures only, and this search builds none.
     """
     _require_homogeneous(p)
     eng = engine(p)
     failures: list[CancellationFailure] = []
     # one context letter per letter class: equal letters cancel identically
-    contexts = eng.partition(1)
-    for n in range(1, max_len):
-        canons = eng.partition(n)
-        for side in ("left", "right"):
-            for g in contexts:
-                for group in eng.collisions(n, g, side):
+    for g in eng.partition(1):
+        sides = (("left", eng.left_levels(g, max_len)),
+                 ("right", (eng.right_multiples(g, n + 1) for n in range(max_len))))
+        for side, levels in sides:
+            for n, images in enumerate(levels):
+                for group in collision_groups(images):
+                    canons = eng.partition(n)
                     for x, y in combinations(group, 2):
                         x_word, y_word = eng.decode(canons[x]), eng.decode(canons[y])
                         failures.append(CancellationFailure(side, eng.decode(g), x_word, y_word))

@@ -11,7 +11,12 @@ and every handler takes the parsed arguments and the loaded source (None for
 A presentation source is a file (pipes included), a bundled fixture name or
 ``gmn:M,N`` for g(M,N).  ``gmn --m M --n N --run CMD ARGS`` is the same as
 ``CMD gmn:M,N ARGS``, with the flags given before ``--run`` in front, so
-flags given after CMD win.
+flags given after CMD win.  ``--run`` takes the command first: a flag right
+after it is a usage error.
+
+The parser is built on the first run() and shared by every later one in the
+process (the re-parse of ``gmn --run`` included); each parse starts from a
+fresh namespace, so no flag carries over from one call to the next.
 
 A bound below its least value is a usage error: ``--cap`` and ``--k`` must
 be at least 1, ``--max-len`` and ``--verify-to`` at least 0, and a claim's
@@ -29,6 +34,7 @@ import argparse
 import json
 import sys
 import time
+from functools import cache
 from itertools import product
 from pathlib import Path
 
@@ -61,7 +67,15 @@ _MEMBER_LIMIT = 200  # class members echoed without --full
 _LEAST = {"--cap": 1, "--max-len": 0, "--verify-to": 0, "--k": 1}  # else exit 2
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on the first call and shared after that.
+
+    Every run() in the process parses with this one object, so it must not
+    be mutated: no set_defaults(), add_argument() or other change after it
+    is built.  parse_args() leaves it as it is; all per-call state lives in
+    the namespace run() passes in.
+    """
     # --json and --cap are accepted before and after the command.  Their
     # defaults are SUPPRESS so a subcommand keeps a flag given before it.
     # Every parser shares these two action objects, so a set_defaults() on
@@ -368,6 +382,9 @@ def _do_claim(args, p):
     elif name == "no_lcm" or name == "no-lcm":
         if args.m < 2:
             raise ParseError("the no-lcm claim needs --m >= 2 (it compares t1 and t2)")
+        if args.n < 2:
+            raise ParseError("the no-lcm claim needs --n >= 2 (with n = 1, t1 and t2 "
+                             "have the lcm s.t1...tm)")
         ctx = build_gmn(args.m, args.n)
         p = ctx.presentation
         bound = _claim_bound(args, len(ctx.delta1) + 1)
@@ -488,6 +505,9 @@ def run(argv: list[str]) -> int:
             if not args.run:
                 return _fail(args, argv, 2, "gmn --run needs a command to run")
             cmd, *rest = args.run
+            if cmd.startswith("-"):
+                return _fail(args, argv, 2, f"gmn --run takes the command first, got "
+                             f"{cmd!r}; put flags before --run or after the command")
             if cmd in ("gmn", "claim"):
                 return _fail(args, argv, 2, f"cannot nest {cmd!r} under gmn --run")
             args = parser.parse_args([cmd, f"gmn:{args.m},{args.n}", *rest],

@@ -46,7 +46,7 @@ inserts idempotent, so concurrent readers are fine.
 from __future__ import annotations
 
 from array import array
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import compress, islice
 from operator import eq
@@ -297,21 +297,32 @@ class RewriteEngine:
     def left_multiples(self, p: str, n: int) -> list[int]:
         """Class id of p*z for each length-(n - |p|) class id z, in order of z;
         empty when p is longer than n.  p left-divides exactly the classes
-        listed, and p1*Z, p2*Z pair up by index.
+        listed, and p1*Z, p2*Z pair up by index."""
+        images = []
+        for images in self.left_levels(p, n):
+            pass
+        return images
 
-        One level at a time: the canonical word of z is that of parent(z)
-        followed by last(z), so p*z = (p*parent(z))*last(z) is one table
-        lookup from the image of parent(z) one level down.
+    def left_levels(self, p: str, n: int) -> Iterator[list[int]]:
+        """left_multiples(p, m) for m = |p|, |p| + 1, ..., n in turn, i.e. the
+        images p*z of the classes z of length 0, 1, ..., n - |p|; nothing when
+        p is longer than n.
+
+        Each level comes from the one before: the canonical word of z is that
+        of parent(z) followed by last(z), so p*z = (p*parent(z))*last(z) is
+        one table lookup from the image of parent(z).  Only the level last
+        yielded is kept.
         """
         if len(p) > n:
-            return []
+            return
         self.partition(n)
         k = len(self.chars)
         images = [self.class_of(p)]
+        yield images
         for j in range(1, n - len(p) + 1):
             table = self._tables[len(p) + j - 1]
             images = [table[images[f // k] * k + f % k] for f in self._levels[j].first]
-        return images
+            yield images
 
     def right_multiples(self, s: str, n: int) -> Sequence[int]:
         """Class id of z*s for each length-(n - |s|) class id z, in order of
@@ -330,29 +341,24 @@ class RewriteEngine:
             images = [column[c] for c in images]
         return images
 
-    def collisions(self, n: int, g: str, side: str) -> list[list[int]]:
-        """Length-n class ids that the map x -> g*x (side "left") or x -> x*g
-        (side "right") sends to one class: each group in increasing order,
-        groups ordered by their least member, groups of one left out.
 
-        The images of the whole level come from left_multiples (the left
-        recurrence) or right_multiples (the column T_n[g::k] for a letter g).
-        Repeated images are found in one sorted copy, so a level on which the
-        map is injective, the common case, returns [] after one C-level sort;
-        a right column is nearly sorted already, since ids follow lex order.
-        """
-        if side == "left":
-            images = self.left_multiples(g, n + len(g))
-        else:
-            images = self.right_multiples(g, n + len(g))
-        ordered = sorted(images)
-        repeated = set(compress(ordered, map(eq, ordered, islice(ordered, 1, None))))
-        if not repeated:
-            return []
-        groups: dict[int, list[int]] = {}
-        for x in compress(range(len(images)), map(repeated.__contains__, images)):
-            groups.setdefault(images[x], []).append(x)
-        return list(groups.values())
+def collision_groups(images: Sequence[int]) -> list[list[int]]:
+    """The indices x that share their value images[x] with another index:
+    each group in increasing order, groups ordered by their least member,
+    groups of one left out.
+
+    Repeated values are found in one sorted copy, so images without a repeat,
+    the common case, return [] after one C-level sort; a right column of the
+    tables is nearly sorted already, since ids follow lex order.
+    """
+    ordered = sorted(images)
+    repeated = set(compress(ordered, map(eq, ordered, islice(ordered, 1, None))))
+    if not repeated:
+        return []
+    groups: dict[int, list[int]] = {}
+    for x in compress(range(len(images)), map(repeated.__contains__, images)):
+        groups.setdefault(images[x], []).append(x)
+    return list(groups.values())
 
 
 class _Level(Sequence):

@@ -1,9 +1,13 @@
+import argparse
 import json
+import re
+import subprocess
+import sys
 
 import pytest
 
 import monoidkit as mk
-from monoidkit.cli import run
+from monoidkit.cli import build_parser, run
 
 M6 = "M6"
 G22 = "gmn:2,2"
@@ -214,12 +218,14 @@ def test_claims(capsys):
     capsys.readouterr()
 
 
-def test_claim_no_lcm_reports_the_lcm_found(capsys):
-    # g(2,1) has an lcm of t1 and t2, so the claim does not reproduce there
-    assert run(["claim", "no-lcm", "--m", "2", "--n", "1", "--json"]) == 1
+def test_claim_no_lcm_reports_the_minimal_multiples(capsys):
+    # the report carries what mcm found; with n = 1 (an lcm exists) the
+    # claim is a usage error, see test_usage_errors
+    assert run(["claim", "no-lcm", "--json"]) == 0
     claim = json_report(capsys)["result"]["claims"][0]
-    assert claim["lcm_up_to_bound"] == ["s", "t1", "t2"]
-    assert claim["minimal"] == [["s", "t1", "t2"]]
+    assert claim["lcm_up_to_bound"] is None
+    assert claim["minimal"] == claim["predicted"] == [
+        ["s", "t1", "t2"], ["t1", "t2", "u1", "s"], ["t1", "t2", "u2", "s"]]
 
 
 def test_claim_unknown(capsys):
@@ -227,9 +233,6 @@ def test_claim_unknown(capsys):
 
 
 def test_presentation_from_pipe():
-    import subprocess
-    import sys
-
     emit = subprocess.run(
         [sys.executable, "-m", "monoidkit", "gmn", "--m", "2", "--n", "2", "--emit"],
         capture_output=True, text=True, check=True,
@@ -275,6 +278,9 @@ def test_usage_errors(capsys):
          "--max-len must be at least 5 for claim no-lcm, got 4"),
         (["claim", "center", "--n", "3", "--max-len", "5"],
          "--max-len must be at least 6 for claim center, got 5"),
+        # g(m,1) has the lcm s.t1...tm, so the claim cannot hold there
+        (["claim", "no-lcm", "--m", "2", "--n", "1"],
+         "the no-lcm claim needs --n >= 2 (with n = 1, t1 and t2 have the lcm s.t1...tm)"),
     ):
         assert run(argv) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
@@ -288,6 +294,17 @@ def test_usage_errors(capsys):
     assert run(["--json", *argv]) == 2
     rep = json_report(capsys)
     assert rep["error"] == "gmn --run needs a command to run" and rep["exit_code"] == 2
+    # a flag right after --run would be taken for the command; flags before
+    # --run still choose the report
+    for flag, head in ((["--json"], []), (["--cap", "5"], ["--json"])):
+        message = (f"gmn --run takes the command first, got '{flag[0]}'; "
+                   "put flags before --run or after the command")
+        assert run([*head, *argv, *flag, "equal", "t1", "t1"]) == 2
+        if head:
+            rep = json_report(capsys)
+            assert rep["error"] == message and rep["exit_code"] == 2
+        else:
+            assert capsys.readouterr().err == f"error: {message}\n"
     # the least values themselves are accepted
     assert run(["class", M6, "a", "--cap", "1"]) == 0
     assert "size: 1" in out_lines(capsys)
@@ -352,3 +369,79 @@ def test_cli_matches_library(capsys):
     lib = mk.equal(tuple("cdeaf"), tuple("ceafd"), m6)
     assert run(["equal", M6, "cdeaf", "ceafd", "--json"]) == 0
     assert json_report(capsys)["result"]["equal"] == lib
+
+
+# -- the parser is built once per process ----------------------------------
+
+
+def test_import_builds_no_parser():
+    # importing the CLI must cost no parser: it is built on the first run()
+    script = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *args, **kwargs):\n"
+        "    built.append(1)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "import monoidkit.cli\n"
+        "print(len(built))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", script],
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "0\n"
+
+
+def test_later_runs_build_no_parser(monkeypatch, capsys):
+    run(["parse", M6])
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert run(["parse", M6]) == 0
+    # the re-parse of gmn --run uses the same parser
+    assert run(["gmn", "--m", "2", "--n", "2", "--run", "parse"]) == 0
+    assert run(["nonsense"]) == 2
+    assert built == []
+
+
+_ELAPSED = re.compile(r'"elapsed_ms": \d+|elapsed: \d+ ms')
+
+
+def _outcome(argv, capsys):
+    code = run(argv)
+    out = capsys.readouterr()
+    return code, _ELAPSED.sub("elapsed", out.out), out.err
+
+
+# calls run in sequence in one process, with the exit code of each
+SEQUENCES = {
+    "json-then-text": [(["--json", "equal", M6, "cdeaf", "ceafd"], 0),
+                       (["equal", M6, "cdeaf", "ceafd"], 0)],
+    "cap-then-default": [(["class", M6, "cdeaf", "--cap", "1"], 3),
+                         (["class", M6, "cdeaf"], 0)],
+    "run-then-plain": [(["gmn", "--m", "2", "--n", "2", "--cap", "50", "--run",
+                         "equal", "t1.u1", "u1.t1"], 0),
+                       (["gmn", "--m", "2", "--n", "2"], 0),
+                       (["equal", G22, "t1.u1", "u1.t1"], 0)],
+    "usage-then-valid": [(["equal", M6, "cdeaf", "--side", "left"], 2),
+                         (["equal", M6, "cdeaf", "ceafd"], 0)],
+}
+
+
+@pytest.mark.parametrize("name", SEQUENCES)
+def test_no_state_carries_between_runs(name, capsys):
+    # each call alone, on a parser built afresh as in a new process, against
+    # the same calls in sequence on one shared parser
+    calls = SEQUENCES[name]
+    alone = []
+    for argv, _ in calls:
+        build_parser.cache_clear()
+        alone.append(_outcome(argv, capsys))
+    assert [code for code, _, _ in alone] == [code for _, code in calls]
+    build_parser.cache_clear()
+    assert [_outcome(argv, capsys) for argv, _ in calls] == alone

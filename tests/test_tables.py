@@ -7,7 +7,7 @@ from itertools import combinations, product
 from hypothesis import example, given, settings, strategies as st
 
 import monoidkit as mk
-from monoidkit.rewrite import engine
+from monoidkit.rewrite import collision_groups, engine
 
 from conftest import naive_left_divides, naive_partition
 
@@ -58,6 +58,8 @@ def test_level_images_match_word_walks(p):
             zs = eng.partition(n - len(q))
             assert eng.left_multiples(q, n) == [eng.class_of(q + z) for z in zs]
             assert list(eng.right_multiples(q, n)) == [eng.class_of(z + q) for z in zs]
+        # the levels of the left recurrence, one after the other
+        assert list(eng.left_levels(q, 4)) == [eng.left_multiples(q, n) for n in range(len(q), 5)]
     for n in range(4):
         ws = eng.partition(n)
         for g in eng.chars:
@@ -67,7 +69,9 @@ def test_level_images_match_word_walks(p):
                     image = eng.class_of(g + w if side == "left" else w + g)
                     groups.setdefault(image, []).append(x)
                 expected = [group for group in groups.values() if len(group) > 1]
-                assert eng.collisions(n, g, side) == expected
+                images = (eng.left_multiples(g, n + 1) if side == "left"
+                          else eng.right_multiples(g, n + 1))
+                assert collision_groups(images) == expected
 
 
 @settings(max_examples=30, deadline=None)
