@@ -21,7 +21,7 @@ fresh namespace, so no flag carries over from one call to the next.
 A bound below its least value is a usage error: ``--cap`` and ``--k`` must
 be at least 1, ``--max-len`` and ``--verify-to`` at least 0, and a claim's
 ``--max-len`` at least the length of its witnesses (m+2 for ``no-lcm``,
-m+n+1 for ``center``).
+m+n+1 for ``center``); both claims need ``--m`` and ``--n`` at least 2.
 
 Exit codes: 0 completed (boolean answers live in the payload), 1 claim ran
 but did not reproduce the expected outcome, 2 usage or parse error, 3 cap
@@ -405,6 +405,10 @@ def _do_claim(args, p):
             "reproduced": ok,
         })
     elif name == "center":
+        for flag, letter in (("m", "t1"), ("n", "u1")):  # below 1, build_gmn refuses
+            if getattr(args, flag) == 1:
+                raise ParseError(f"the center claim needs --{flag} >= 2 "
+                                 f"(with {flag} = 1, {letter} is central)")
         ctx = build_gmn(args.m, args.n)
         p = ctx.presentation
         bound = _claim_bound(args, len(ctx.delta))

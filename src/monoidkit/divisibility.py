@@ -4,11 +4,9 @@ u left-divides v when v = u*w for some w in the monoid.  Because the literal
 concatenation u*w lies in the class of v whenever the equation holds, the
 point test is a prefix scan over the class of v: sound and complete.  The
 quotients found form a union of classes (if a*q lies in the class of v and q
-equals q', so does a*q'), so they are walked in sorted order: each word not
-yet removed is the canonical form of its class, which is then removed whole.
-A quotient class is read from the engine cache when it is there, and
-otherwise closed over without being cached, so a division test caches the
-class of v only.  Common
+equals q', so does a*q'), so ``RewriteEngine.least_words`` reads their
+canonical forms off them in one pass: a division test closes over and caches
+the class of v only, and ``cap`` bounds that closure alone.  Common
 multiples are whole-level questions and read the graded class tables instead:
 u left-divides a length-n class exactly when that class is the class of u*z
 for some length-(n - |u|) class z, and ``RewriteEngine.left_multiples`` lists
@@ -59,13 +57,7 @@ def _divides(u: Word, v: Word, p: Presentation, cap: int, side: str) -> Division
         quots = {m[len(a):] for m in cls if m.startswith(a)}
     else:
         quots = {m[:len(b) - len(a)] for m in cls if m.endswith(a)}
-    # quots is a union of classes, so in sorted order each word still left is
-    # the least of its class; remove that class, closing over it uncached
-    canons = []
-    for q in sorted(quots):
-        if q in quots:
-            canons.append(q)
-            quots -= eng.closure(q, cap, cache=False)
+    canons = eng.least_words(quots)
     return DivisionResult(bool(canons), frozenset(eng.decode(q) for q in canons))
 
 

@@ -6,13 +6,16 @@ It is a *Garside element* when its left- and right-divisor sets coincide,
 are finite, and generate the monoid.  For atomic cancellative monoids the two
 notions agree; `cross_check_fundamental_garside` tests that agreement on
 concrete words, which is a useful self-check of the whole divisor machinery.
+
+Both tests close over the class of delta only, so ``cap`` bounds that one
+closure: quotients and divisor sets are unions of classes read off it.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cache
-from math import lcm
 
 from .errors import NotFundamentalError
 from .presentation import Presentation, Word
@@ -64,31 +67,12 @@ def atoms(p: Presentation, cap: int = DEFAULT_CAP) -> frozenset[str]:
 
     In a homogeneous presentation the only way a generator decomposes is to
     equal another single letter, so the atom classes are exactly the classes
-    of letters; the earliest letter in declaration order represents each.
+    of letters.  Each is represented by its canonical word in the length-1
+    class table, the earliest letter in declaration order; ``cap`` is unused.
     """
     _require_homogeneous(p)
     eng = engine(p)
-    reps: dict[str, str] = {}
-    for x in p.letters:
-        canon = eng.canonical_raw(eng.encode((x,)), cap)
-        reps.setdefault(canon, x)
-    return frozenset(reps.values())
-
-
-def _permutation_order(sigma: dict[str, str]) -> int:
-    seen: set[str] = set()
-    cycle_lengths = []
-    for start in sigma:
-        if start in seen:
-            continue
-        length = 0
-        cur = start
-        while cur not in seen:
-            seen.add(cur)
-            cur = sigma[cur]
-            length += 1
-        cycle_lengths.append(length)
-    return lcm(*cycle_lengths) if cycle_lengths else 1
+    return frozenset(eng.decode(c)[0] for c in eng.partition(1))
 
 
 def verify_fundamental(
@@ -112,23 +96,24 @@ def verify_fundamental(
         return None
     cls = eng.closure(eng.encode(delta), cap)
 
-    # Per atom: every left quotient class, and for each the letters x with
-    # quotient * x back in the class of delta.  sigma is a perfect matching of
-    # atoms to candidate letters; ways(i, used) counts the matchings of atoms
-    # i.. into the letters outside ``used``, memoised over the subsets.
+    # Q_s = {q : s*q in [delta]} and E_x = {q : q*x in [delta]} are unions of
+    # classes, so the least word of Q_s & E_x is canonical: D_s if sigma(s) = x.
+    # sigma is a perfect matching of atoms to such letters x; ways(i, used)
+    # counts the matchings of atoms i.. into the letters outside ``used``,
+    # memoised over the subsets.
+    heads, tails = defaultdict(set), defaultdict(set)
+    for m in cls:
+        heads[m[0]].add(m[1:])
+        tails[m[-1]].add(m[:-1])
     cand: dict[str, dict[str, str]] = {}
     for s in ats:
-        c = eng.encode((s,))
-        quots = sorted({m[1:] for m in cls if m.startswith(c)})
+        quots = heads[eng.encode((s,))]
         if not quots:
             if strict:
                 raise NotFundamentalError(f"atom {s!r} does not left-divide", atom=s)
             return None
-        options: dict[str, str] = {}
-        for q in quots:
-            for x in ats:
-                if q + eng.encode((x,)) in cls and x not in options:
-                    options[x] = q
+        both = {x: quots & tails[eng.encode((x,))] for x in ats}
+        options = {x: min(qs) for x, qs in both.items() if qs}
         if not options:
             if strict:
                 raise NotFundamentalError(
@@ -163,14 +148,15 @@ def verify_fundamental(
         )
         chosen[s] = ats[j]
         used |= 1 << j
-    quotients = {
-        s: eng.decode(eng.canonical_raw(cand[s][chosen[s]], cap)) for s in ats
-    }
+    # the order of sigma: the least N >= 1 with sigma^N the identity
+    order, power = 1, chosen
+    while any(power[s] != s for s in ats):
+        order, power = order + 1, {s: chosen[power[s]] for s in ats}
     return FundamentalCertificate(
         delta=tuple(delta),
         sigma=chosen,
-        quotients=quotients,
-        order=_permutation_order(chosen),
+        quotients={s: eng.decode(cand[s][chosen[s]]) for s in ats},
+        order=order,
         sigma_count=count,
     )
 
@@ -185,15 +171,14 @@ def verify_garside(delta: Word, p: Presentation, cap: int = DEFAULT_CAP) -> Gars
     _require_homogeneous(p)
     eng = engine(p)
     cls = eng.closure(eng.encode(delta), cap)
-    canonical = eng.canonical_raw
-    left_canon = {canonical(m[:i], cap) for m in cls for i in range(len(m) + 1)}
-    right_canon = {canonical(m[i:], cap) for m in cls for i in range(len(m) + 1)}
-    atom_canons = {canonical(eng.encode((s,)), cap) for s in atoms(p, cap)}
+    lengths = range(len(delta) + 1)
+    left_canon = {q for i in lengths for q in eng.least_words({m[:i] for m in cls})}
+    right_canon = {q for i in lengths for q in eng.least_words({m[i:] for m in cls})}
     return GarsideReport(
         left_divisors=frozenset(eng.decode(w) for w in left_canon),
         right_divisors=frozenset(eng.decode(w) for w in right_canon),
         coincide=left_canon == right_canon,
-        generate=atom_canons <= (left_canon | right_canon),
+        generate=set(eng.partition(1)) <= left_canon | right_canon,
     )
 
 

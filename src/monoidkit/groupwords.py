@@ -20,11 +20,11 @@ failing that makes r = sigma^-1(r * D_a) and lowers j by one.  Two words are
 compared by a homomorphic image first (their length, or their letter counts
 when every relation permutes its letters), then the residual with the lower
 power is divided by delta until the powers agree, then the residuals are
-compared in the monoid.  No closure sees a padded lift: only delta, single
-letters and residuals are closed over.  This is the delta-factorisation of
-Garside theory (Dehornoy et al., Foundations of Garside Theory, 2015) with
-only the quotients and sigma of the certificate, never lcms or a greedy
-normal form, since the monoids at hand need not have lcms.
+compared in the monoid.  No closure sees a padded lift: only delta and
+residuals are closed over.  This is the delta-factorisation of Garside
+theory (Dehornoy et al., Foundations of Garside Theory, 2015) with only the
+quotients and sigma of the certificate, never lcms or a greedy normal form,
+since the monoids at hand need not have lcms.
 
 The verdict is only meaningful when the monoid embeds into the group, since
 delta^i * r1 = r2 is then read in the monoid; that is why comparison refuses
@@ -101,13 +101,13 @@ def free_reduce(sw: SignedWord) -> SignedWord:
     return tuple(out)
 
 
-def _letter_atoms(p: Presentation, cert: FundamentalCertificate, cap: int) -> dict[str, str]:
+def _letter_atoms(p: Presentation, cert: FundamentalCertificate) -> dict[str, str]:
     """Each letter's certificate atom: the atom in the letter's class."""
     eng = engine(p)
-    by_class = {eng.canonical_raw(eng.encode((a,)), cap): a for a in cert.quotients}
+    by_class = {eng.class_of(eng.encode((a,))): a for a in cert.quotients}
     out = {}
     for x in p.letters:
-        a = by_class.get(eng.canonical_raw(eng.encode((x,)), cap))
+        a = by_class.get(eng.class_of(eng.encode((x,))))
         if a is None:
             raise ValueError(f"letter {x!r} has no atom representative in the certificate")
         out[x] = a
@@ -118,9 +118,9 @@ def positive_lift(
     sw: SignedWord, cert: FundamentalCertificate, p: Presentation, cap: int = DEFAULT_CAP
 ) -> LiftResult:
     """Clear inverses: k counts inverse letters after free reduction, and each
-    g~ becomes quotients[g] followed by delta^(N-1)."""
+    g~ becomes quotients[g] followed by delta^(N-1); ``cap`` is unused."""
     reduced = free_reduce(sw)
-    atom = _letter_atoms(p, cert, cap)
+    atom = _letter_atoms(p, cert)
     pad = cert.delta * (cert.order - 1)
     out: list[str] = []
     k = 0
@@ -138,8 +138,7 @@ def positive_lift(
 
 class _DeltaForms:
     """Signed words as delta^j * r, r a positive char string (see the module
-    docstring).  Closures are taken of delta, of letters and of residuals r
-    only."""
+    docstring).  Closures are taken of delta and of residuals r only."""
 
     def __init__(self, p: Presentation, cert: FundamentalCertificate, cap: int):
         eng = engine(p)
@@ -147,7 +146,7 @@ class _DeltaForms:
         self.delta = eng.encode(cert.delta)
         self.delta_class = eng.closure(self.delta, cap)
         enc = {x: eng.encode((x,)) for x in p.letters}
-        atom = _letter_atoms(p, cert, cap)
+        atom = _letter_atoms(p, cert)
         preimage = {b: a for a, b in cert.sigma.items()}
         self.atom = {enc[x]: enc[a] for x, a in atom.items()}
         self.quotient = {enc[a]: eng.encode(q) for a, q in cert.quotients.items()}
@@ -230,9 +229,9 @@ def group_equal(
     flagged non-cancellative, or ``assume_injective`` is set.
     A False under a mere assumption is only as good as the assumption.
 
-    ``cap`` bounds each closure, and closures are taken only of delta, of
-    single letters and of the residuals r of the delta^j * r forms, never of
-    a padded lift: padding both words with powers of delta costs none.
+    ``cap`` bounds each closure, and closures are taken only of delta and of
+    the residuals r of the delta^j * r forms, never of a padded lift: padding
+    both words with powers of delta costs none.
     """
     _require_homogeneous(p)
     if p.cancellative is not True and not assume_injective:
@@ -261,17 +260,15 @@ def center_scan(p: Presentation, max_len: int, cap: int = DEFAULT_CAP) -> frozen
     Commuting with the generators suffices for centrality since they generate
     the monoid.  The empty word is always reported.  Classes are compared
     through the class tables, so ``cap`` (which bounds closures) is not used:
-    the images c*g and g*c of every class c of a length come from the
-    tables at once, and only the central classes are decoded into words.
+    c*g and g*c for every class c of a length come from the tables at once,
+    a letter's left images carried from length to length, and only the
+    central classes are decoded into words.
     """
     _require_homogeneous(p)
     eng = engine(p)
-    central = []
-    for n in range(0, max_len + 1):
-        level = eng.partition(n)
-        ids = range(len(level))
-        for g in eng.chars:
-            right, left = eng.right_multiples(g, n + 1), eng.left_multiples(g, n + 1)
-            ids = [c for c in ids if right[c] == left[c]]
-        central.extend(level[c] for c in ids)
-    return frozenset(eng.decode(c) for c in central)
+    ids = [range(len(eng.partition(n))) for n in range(max_len + 1)]
+    for g in eng.chars:
+        for n, left in enumerate(eng.left_levels(g, max_len + 1)):
+            right = eng.right_multiples(g, n + 1)
+            ids[n] = [c for c in ids[n] if right[c] == left[c]]
+    return frozenset(eng.decode(eng.partition(n)[c]) for n, cs in enumerate(ids) for c in cs)

@@ -19,7 +19,10 @@ a separator letter that no rule contains, so every rule costs one ``find``
 loop per level rather than one per member; homogeneity puts every member at
 the seed's length, so the position of a hit gives the word it lies in.  A
 complete class is cached per engine under each of its members, together with
-its least word, so a canonical form read from the cache costs O(1).
+its least word, so a canonical form read from the cache costs O(1).  A union
+of classes of one length already in hand, such as the quotients of a
+division or the prefixes of a class, gives the least word of each of its
+classes in one union-find pass over its joined words (``least_words``).
 
 Whole-length enumeration instead builds graded class tables, level by level
 as in the right Cayley graph construction of Froidure and Pin (1997): a class
@@ -46,7 +49,7 @@ inserts idempotent, so concurrent readers are fine.
 from __future__ import annotations
 
 from array import array
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import compress, islice
 from operator import eq
@@ -104,6 +107,7 @@ class RewriteEngine:
             directed.add((a, b))
             directed.add((b, a))
         self.rules: tuple[tuple[str, str], ...] = tuple(sorted(directed))
+        self.one_way = tuple((a, b) for a, b in self.rules if a <= b)  # each relation once
         self.balanced = p.letter_balanced
         self._classes: dict[str, _Class] = {}
         # _tables[m][c * |A| + a]: class of (class c of length m) * letter a;
@@ -131,19 +135,13 @@ class RewriteEngine:
                 yield w[:i] + rep + w[i + len(pat):]
                 i = w.find(pat, i + 1)
 
-    def closure(
-        self, w: str, cap: int = DEFAULT_CAP, cache: bool = True
-    ) -> frozenset[str] | set[str]:
-        """All words reachable from ``w``, read from the cache when there.
-
-        A class closed over here is cached once complete, unless ``cache`` is
-        false; then a plain set is returned and the cache stays as it was.
-        """
+    def closure(self, w: str, cap: int = DEFAULT_CAP) -> frozenset[str]:
+        """All words reachable from ``w``, read from the cache when there; a
+        class closed over here is cached once complete."""
         cached = self._classes.get(w)
         if cached is not None:
             return cached
-        seen = self._bfs(w, cap)
-        return self._store(seen) if cache else seen
+        return self._store(self._bfs(w, cap))
 
     def closure_search(self, start: str, target: str, cap: int = DEFAULT_CAP) -> bool:
         """Is ``target`` reachable from ``start``?  Early exit on success.
@@ -209,6 +207,30 @@ class RewriteEngine:
             frontier = nxt
         return seen
 
+    def least_words(self, words: Iterable[str]) -> list[str]:
+        """The least word of each class in ``words``, a union of classes of one
+        length, in increasing order; nothing is closed over or cached.  Each
+        relation instance in the union is met once, through one_way as in
+        _extend, and joins its two words under the lesser root."""
+        words = sorted(words)
+        index = {w: x for x, w in enumerate(words)}
+        parent = list(range(len(words)))
+        step = len(words[0]) + 1 if words else 1
+        text = self.separator.join(words)
+        for pat, rep in self.one_way:
+            k = len(pat)
+            i = text.find(pat)
+            while i >= 0:
+                x, j = divmod(i, step)
+                w = words[x]
+                x, y = _find(parent, x), _find(parent, index[w[:j] + rep + w[j + k:]])
+                if x < y:
+                    parent[y] = x
+                elif y < x:
+                    parent[x] = y
+                i = text.find(pat, i + 1)
+        return [w for x, w in enumerate(words) if parent[x] == x]
+
     def equal_raw(self, a: str, b: str, cap: int = DEFAULT_CAP) -> bool:
         if a == b:
             return True
@@ -223,9 +245,6 @@ class RewriteEngine:
         if cb is not None:
             return a in cb
         return self.closure_search(a, b, cap)
-
-    def canonical_raw(self, w: str, cap: int = DEFAULT_CAP) -> str:
-        return self.closure(w, cap).least
 
     # -- graded class tables --------------------------------------------------
 
@@ -250,19 +269,13 @@ class RewriteEngine:
         # node c * k + a stands for (class c of length m) * letter a; a root is
         # the least node of its component, so parent[x] <= x throughout
         parent = array("i", range(len(self._levels[m]) * k))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = x = parent[parent[x]]
-            return x
-
-        for pat, rep in self.rules:
-            if pat > rep or len(pat) > m + 1:
-                continue  # each relation once, and only when it fits
+        for pat, rep in self.one_way:
+            if len(pat) > m + 1:
+                continue  # only when it fits
             a, b = ord(pat[-1]), ord(rep[-1])
             for ua, ub in zip(self.right_multiples(pat[:-1], m),
                               self.right_multiples(rep[:-1], m)):
-                ra, rb = find(ua * k + a), find(ub * k + b)
+                ra, rb = _find(parent, ua * k + a), _find(parent, ub * k + b)
                 if ra < rb:
                     parent[rb] = ra
                 elif rb < ra:
@@ -342,6 +355,13 @@ class RewriteEngine:
         return images
 
 
+def _find(parent: array | list[int], x: int) -> int:
+    """The root of x in a union-find forest, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
+
+
 def collision_groups(images: Sequence[int]) -> list[list[int]]:
     """The indices x that share their value images[x] with another index:
     each group in increasing order, groups ordered by their least member,
@@ -380,7 +400,9 @@ class _Level(Sequence):
     def __len__(self) -> int:
         return len(self.first)
 
-    def __getitem__(self, c: int) -> str:
+    def __getitem__(self, c: int | slice) -> str | tuple[str, ...]:
+        if isinstance(c, slice):
+            return tuple(self[x] for x in range(len(self.first))[c])
         if not 0 <= c < len(self.first):
             raise IndexError(c)
         letters = []
@@ -455,4 +477,4 @@ def canonical(w: Word, p: Presentation, cap: int = DEFAULT_CAP) -> Word:
     """Lexicographically least member of the class of ``w``."""
     _require_homogeneous(p)
     eng = engine(p)
-    return eng.decode(eng.canonical_raw(eng.encode(w), cap))
+    return eng.decode(eng.closure(eng.encode(w), cap).least)

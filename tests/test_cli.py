@@ -281,6 +281,11 @@ def test_usage_errors(capsys):
         # g(m,1) has the lcm s.t1...tm, so the claim cannot hold there
         (["claim", "no-lcm", "--m", "2", "--n", "1"],
          "the no-lcm claim needs --n >= 2 (with n = 1, t1 and t2 have the lcm s.t1...tm)"),
+        # a one-letter family's letter is central, so the center claim cannot
+        # hold there either
+        (["claim", "center", "--m", "1"], "the center claim needs --m >= 2 (with m = 1, t1 is central)"),
+        (["claim", "center", "--m", "2", "--n", "1"],
+         "the center claim needs --n >= 2 (with n = 1, u1 is central)"),
     ):
         assert run(argv) == 2
         assert capsys.readouterr().err == f"error: {message}\n"

@@ -48,7 +48,8 @@ def test_divisibility_matches_oracle(p22, m6, rng):
 
 
 def test_divides_caches_only_the_class_of_v(p22, rng):
-    # quotient classes are closed over but not cached, and a cache warmed by
+    # the quotients' canonical words are read off the class of v in one pass,
+    # so no quotient class is closed over or cached, and a cache warmed by
     # canonical calls on the quotients changes no answer
     for side, divides in (("left", mk.left_divides), ("right", mk.right_divides)):
         for _ in range(10):

@@ -1,11 +1,13 @@
 from itertools import permutations
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import monoidkit as mk
 from monoidkit import NotFundamentalError, Presentation, Relation
 
-from conftest import W, random_word
+from conftest import W, naive_canonical, naive_class, random_word
+from test_tables import presentations
 
 
 def test_atoms(p22, m6):
@@ -112,3 +114,63 @@ def test_sigma_count_when_every_permutation_fits():
     assert fits == 120
     assert cert.sigma_count == fits
     assert cert.sigma == {x: x for x in letters}
+
+
+# -- fundamental and Garside tests against the oracle -----------------------
+
+
+def oracle_fundamental(delta, p):
+    """(sigma, sigma_count, quotients, order) of delta from the oracle's
+    classes alone, or None when no permutation of the atoms fits."""
+    reps = {}
+    for x in p.letters:
+        reps.setdefault(frozenset(naive_class((x,), p)), x)
+    ats = list(reps.values())
+    cls = naive_class(delta, p)
+    # per atom s: the least quotient class q with s*q = delta = q*x, per x
+    options = []
+    for s in ats:
+        quotients = {naive_canonical(m[1:], p) for m in cls if m[0] == s}
+        fitting = {x: [q for q in quotients if q + (x,) in cls] for x in ats}
+        options.append({x: min(qs, key=p.word_key) for x, qs in fitting.items() if qs})
+    fits = [perm for perm in permutations(ats)
+            if all(x in opts for opts, x in zip(options, perm))]
+    if not fits:
+        return None
+    sigma = dict(zip(ats, fits[0]))
+    order, power = 1, dict(sigma)
+    while any(power[s] != s for s in ats):
+        order, power = order + 1, {s: sigma[power[s]] for s in ats}
+    quotients = {s: opts[sigma[s]] for s, opts in zip(ats, options)}
+    return sigma, len(fits), quotients, order
+
+
+@st.composite
+def deltas(draw):
+    p = draw(presentations())
+    return p, draw(st.text(alphabet="".join(p.letters), min_size=1, max_size=5).map(tuple))
+
+
+# every 2-letter word is equal, so each quotient set holds two letter classes
+# and both permutations fit; ab = ba, and ab = bc = ca, make ab fundamental
+@settings(max_examples=80, deadline=None)
+@given(deltas())
+@example((mk.parse_presentation("generators: a b\nrelation: aa = ab = ba = bb\n"), W("aa")))
+@example((mk.parse_presentation("generators: a b\nrelation: ab = ba\n"), W("ab")))
+@example((mk.parse_presentation("generators: a b c\nrelation: ab = bc = ca\n"), W("ab")))
+def test_fundamental_and_garside_match_oracle(case):
+    p, delta = case
+    cert = mk.verify_fundamental(delta, p)
+    expected = oracle_fundamental(delta, p)
+    if expected is None:
+        assert cert is None
+    else:
+        assert (cert.sigma, cert.sigma_count, cert.quotients, cert.order) == expected
+    cls = naive_class(delta, p)
+    left = {naive_canonical(m[:i], p) for m in cls for i in range(len(m) + 1)}
+    right = {naive_canonical(m[i:], p) for m in cls for i in range(len(m) + 1)}
+    letters = {naive_canonical((x,), p) for x in p.letters}
+    rep = mk.verify_garside(delta, p)
+    assert rep.left_divisors == left and rep.right_divisors == right
+    assert rep.coincide == (left == right)
+    assert rep.generate == (letters <= left | right)

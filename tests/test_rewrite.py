@@ -5,6 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import monoidkit as mk
 from monoidkit import CapExceededError, NonHomogeneousError
+from monoidkit.rewrite import engine
 
 from conftest import W, naive_canonical, naive_class, random_word
 from test_tables import presentations
@@ -230,3 +231,30 @@ def test_point_queries_match_oracle(query):
         assert got.members == naive_class(x, p)
         assert got.canonical == naive_canonical(x, p)
         assert mk.canonical(x, p) == got.canonical
+
+
+@st.composite
+def class_unions(draw):
+    """A presentation and 0-4 words of one length up to 5: the union of their
+    classes is the input of least_words."""
+    p = draw(presentations())
+    n = draw(st.integers(0, 5))
+    word = st.text(alphabet="".join(p.letters), min_size=n, max_size=n).map(tuple)
+    return p, draw(st.lists(word, max_size=4))
+
+
+# abab: "ba" would also match across two words joined without a separator;
+# aa = ab = ba = bb: all eight 3-letter words make one class
+@settings(max_examples=80, deadline=None)
+@given(class_unions())
+@example((mk.parse_presentation("generators: a b\nrelation: ab = ba\n"), [W("abab")]))
+@example((mk.parse_presentation("generators: a b\nrelation: aa = ab = ba = bb\n"),
+          [W("aab"), W("bbb"), W("aaa")]))
+def test_least_words_match_oracle(query):
+    p, seeds = query
+    classes = [naive_class(w, p) for w in seeds]
+    eng = engine(p)
+    got = eng.least_words(eng.encode(w) for w in set().union(*classes))
+    assert got == sorted({eng.encode(min(c, key=p.word_key)) for c in classes})
+    # nothing is closed over or cached
+    assert eng._classes == {}

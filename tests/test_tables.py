@@ -147,6 +147,15 @@ def test_class_of_walks_products(m6, rng):
     assert eng.class_of("") == 0 and eng.canonicals_at(0) == ("",)
 
 
+def test_level_slices(m6):
+    # a slice of a level is the tuple of its decoded words
+    level = engine(m6).partition(2)
+    for s in (slice(None, 2), slice(3, 9), slice(-4, None), slice(None, None, -5),
+              slice(25, 2, -3), slice(40, 50)):
+        assert level[s] == tuple(level)[s]
+    assert engine(m6).partition(1)[:2] == ("\x00", "\x01")
+
+
 def test_racing_level_builds_agree():
     # threads that build the same levels at once must leave one set of tables
     p = mk.fixture("M6")
