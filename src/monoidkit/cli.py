@@ -413,7 +413,7 @@ def _do_claim(args, p):
         p = ctx.presentation
         bound = _claim_bound(args, len(ctx.delta))
         bounds["max_len"] = bound
-        found = center_scan(p, bound, args.cap)
+        found = center_scan(p, bound)
         nonempty = {w for w in found if w}
         ok = nonempty == {canonical(ctx.delta, p, args.cap)}
         checks.append({
@@ -473,7 +473,7 @@ def _do_group_equal(args, p):
 
 
 def _do_center_scan(args, p):
-    found = center_scan(p, args.max_len, args.cap)
+    found = center_scan(p, args.max_len)
     words = _sorted_words(p, found)
     payload = {"central": words}
     lines = [f"central elements up to length {args.max_len}: "

@@ -62,13 +62,13 @@ class FundamentalGarsideCheck:
         return self.fundamental == self.garside
 
 
-def atoms(p: Presentation, cap: int = DEFAULT_CAP) -> frozenset[str]:
+def atoms(p: Presentation) -> frozenset[str]:
     """One representative letter per equivalence class of generators.
 
     In a homogeneous presentation the only way a generator decomposes is to
     equal another single letter, so the atom classes are exactly the classes
     of letters.  Each is represented by its canonical word in the length-1
-    class table, the earliest letter in declaration order; ``cap`` is unused.
+    class table, the earliest letter in declaration order.
     """
     _require_homogeneous(p)
     eng = engine(p)
@@ -89,7 +89,7 @@ def verify_fundamental(
     """
     _require_homogeneous(p)
     eng = engine(p)
-    ats = sorted(atoms(p, cap), key=p.index.__getitem__)
+    ats = sorted(atoms(p), key=p.index.__getitem__)
     if not delta:
         if strict:
             raise NotFundamentalError("the empty word is not fundamental")

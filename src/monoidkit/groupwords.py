@@ -114,11 +114,9 @@ def _letter_atoms(p: Presentation, cert: FundamentalCertificate) -> dict[str, st
     return out
 
 
-def positive_lift(
-    sw: SignedWord, cert: FundamentalCertificate, p: Presentation, cap: int = DEFAULT_CAP
-) -> LiftResult:
+def positive_lift(sw: SignedWord, cert: FundamentalCertificate, p: Presentation) -> LiftResult:
     """Clear inverses: k counts inverse letters after free reduction, and each
-    g~ becomes quotients[g] followed by delta^(N-1); ``cap`` is unused."""
+    g~ becomes quotients[g] followed by delta^(N-1)."""
     reduced = free_reduce(sw)
     atom = _letter_atoms(p, cert)
     pad = cert.delta * (cert.order - 1)
@@ -254,15 +252,15 @@ def group_equal(
     return _DeltaForms(p, cert, cap).equal(w1, w2)
 
 
-def center_scan(p: Presentation, max_len: int, cap: int = DEFAULT_CAP) -> frozenset[Word]:
+def center_scan(p: Presentation, max_len: int) -> frozenset[Word]:
     """Canonical classes of length <= max_len commuting with every generator.
 
     Commuting with the generators suffices for centrality since they generate
     the monoid.  The empty word is always reported.  Classes are compared
-    through the class tables, so ``cap`` (which bounds closures) is not used:
-    c*g and g*c for every class c of a length come from the tables at once,
-    a letter's left images carried from length to length, and only the
-    central classes are decoded into words.
+    through the class tables, with no closure: c*g and g*c for every class c
+    of a length come from the tables at once, a letter's left images carried
+    from length to length, and only the central classes are decoded into
+    words.
     """
     _require_homogeneous(p)
     eng = engine(p)

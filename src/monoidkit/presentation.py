@@ -23,7 +23,6 @@ import hashlib
 import re
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from collections import Counter
 from typing import Sequence
 
 from .errors import ParseError
@@ -110,7 +109,7 @@ class Presentation:
 
     @cached_property
     def letter_balanced(self) -> bool:
-        return all(Counter(r.lhs) == Counter(r.rhs) for r in self.relations)
+        return all(sorted(r.lhs) == sorted(r.rhs) for r in self.relations)
 
     @cached_property
     def dummy_letters(self) -> frozenset[str]:

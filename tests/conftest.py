@@ -73,6 +73,14 @@ def naive_partition(p, n):
     return {w: find(w) for w in words}
 
 
+def no_symmetries(eng, max_len):
+    """Stands in for ``cancel.letter_symmetries`` and finds nothing, so every
+    letter class is scanned on both sides, as the unreduced search does."""
+    identity = "".join(eng.chars)
+    return mk.cancel.LetterSymmetries(
+        tuple((c, identity) for c in range(len(eng.partition(1)))), None, 0, 0)
+
+
 def random_word(rng, p, max_len, min_len=0):
     n = rng.randint(min_len, max_len)
     return tuple(rng.choice(p.letters) for _ in range(n))

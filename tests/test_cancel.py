@@ -1,9 +1,13 @@
+import random
+from unittest.mock import patch
+
 import pytest
 
 import monoidkit as mk
-from monoidkit import CancellationFailure
+from monoidkit import CancellationFailure, cancel
+from monoidkit.rewrite import engine
 
-from conftest import W
+from conftest import W, no_symmetries
 
 
 def test_m6_failure_found(m6):
@@ -27,6 +31,81 @@ def test_m6p_completed_failures_at_length_8(m6pc):
     assert mk.search_failures(m6pc, 8) == expected
 
 
+def found_symmetries(p, max_len):
+    """The finder's letter orbits, as sets of letters, and its anti-automorphism
+    as a dict of letters (or None); every reported map is checked to map its
+    orbit's first letter class onto the class it stands for."""
+    eng = engine(p)
+    sym = cancel.letter_symmetries(eng, max_len)
+    assert sym.checks < sym.cap
+    letters = eng.partition(1)
+    orbits = {}
+    for c, (r, phi) in enumerate(sym.source):
+        assert eng.class_of(letters[r].translate(phi)) == c
+        orbits.setdefault(r, set()).update(eng.decode(letters[c]))
+    anti = sym.anti and dict(zip(p.letters, eng.decode(sym.anti)))
+    return {frozenset(o) for o in orbits.values()}, anti
+
+
+@pytest.mark.parametrize("name", ["M6", "M6p"])
+def test_symmetries_of_m6_and_m6p(name):
+    # the anti-automorphism abcdef -> edcbaf and no other symmetry
+    orbits, anti = found_symmetries(mk.fixture(name), 6)
+    assert orbits == {frozenset(x) for x in "abcdef"}
+    assert anti == dict(zip("abcdef", "edcbaf"))
+
+
+def test_symmetries_of_m6p_completed(m6pc):
+    # the automorphisms cdefab and efabcd, and three anti-automorphisms
+    orbits, anti = found_symmetries(m6pc, 6)
+    assert orbits == {frozenset("ace"), frozenset("bdf")}
+    assert "".join(anti[x] for x in "abcdef") in {"afedcb", "cbafed", "edcbaf"}
+
+
+@pytest.mark.parametrize("m, n, max_len", [(2, 2, 5), (3, 2, 6), (3, 3, 6)])
+def test_symmetries_of_gmn(m, n, max_len):
+    # gmn.anti_involution, and when m = n the t <-> u swap
+    ctx = mk.build_gmn(m, n)
+    letters = ctx.presentation.letters
+    orbits, anti = found_symmetries(ctx.presentation, max_len)
+    if m == n:
+        assert orbits == {frozenset("s")} | {frozenset({f"t{i}", f"u{i}"}) for i in range(1, m + 1)}
+    else:
+        assert orbits == {frozenset({x}) for x in letters}
+    assert anti == {x: mk.anti_involution(ctx, (x,))[0] for x in letters}
+
+
+def ten_letter_presentation():
+    """Twelve random relations with sides of 2-3 letters on ten letters; seed 0
+    gives no letter symmetry and 448 failures to length 4."""
+    rng = random.Random(0)
+    relations = []
+    for _ in range(12):
+        n = rng.randint(2, 3)
+        sides = (tuple(rng.choice("abcdefghij") for _ in range(n)) for _ in range(2))
+        relations.append(mk.Relation(*sides))
+    return mk.Presentation(tuple("abcdefghij"), tuple(relations))
+
+
+@pytest.mark.parametrize("p, max_len", [
+    (mk.build_gmn(5, 5).presentation, 3),
+    (ten_letter_presentation(), 4),
+])
+def test_symmetry_finder_stays_within_its_cap(p, max_len):
+    sym = cancel.letter_symmetries(engine(p), max_len)
+    assert sym.checks <= sym.cap == len(engine(p).partition(max_len)) // len(p.letters)
+    found = mk.search_failures(p, max_len)
+    with patch.object(cancel, "letter_symmetries", no_symmetries):
+        assert found == mk.search_failures(p, max_len)
+
+
+def test_ten_letter_presentation_has_no_symmetry():
+    p = ten_letter_presentation()
+    orbits, anti = found_symmetries(p, 4)
+    assert orbits == {frozenset(x) for x in p.letters} and anti is None
+    assert len(mk.search_failures(p, 4)) == 448
+
+
 def test_g22_and_g32_clean(p22):
     assert mk.search_failures(p22, 5) == []
     assert mk.search_failures(mk.build_gmn(3, 2).presentation, 5) == []
@@ -34,6 +113,7 @@ def test_g22_and_g32_clean(p22):
 
 def test_free_monoid_clean(free2):
     assert mk.search_failures(free2, 6) == []
+    assert mk.search_failures(mk.Presentation((), ()), 3) == []
 
 
 def test_failures_reverify(m6):

@@ -3,24 +3,46 @@
 import sys
 import threading
 from itertools import combinations, product
+from unittest.mock import patch
 
 from hypothesis import example, given, settings, strategies as st
 
 import monoidkit as mk
+from monoidkit import cancel
 from monoidkit.rewrite import collision_groups, engine
 
-from conftest import naive_left_divides, naive_partition
+from conftest import naive_left_divides, naive_partition, no_symmetries
 
 
 @st.composite
-def presentations(draw):
-    """Homogeneous presentations on 2-3 letters, sides of 1-3 letters."""
-    letters = "abc"[: draw(st.integers(2, 3))]
+def presentations(draw, max_letters=3):
+    """Homogeneous presentations on 2 to ``max_letters`` letters, sides of 1-3
+    letters."""
+    letters = "abcd"[: draw(st.integers(2, max_letters))]
     relations = []
     for n in draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)):
         side = st.text(alphabet=letters, min_size=n, max_size=n).map(tuple)
         relations.append(mk.Relation(draw(side), draw(side)))
     return mk.Presentation(tuple(letters), tuple(relations))
+
+
+@st.composite
+def symmetric_presentations(draw):
+    """Presentations on 2-4 letters closed under a random letter permutation,
+    or under a random reverse-and-rename map: the image of each relation is
+    added until no image is new, so the map is a symmetry at every length."""
+    p = draw(presentations(max_letters=4))
+    rename = dict(zip(p.letters, draw(st.permutations(p.letters))))
+    step = -1 if draw(st.booleans()) else 1
+    relations = set(p.relations)
+    todo = list(relations)
+    while todo:
+        r = todo.pop()
+        image = mk.Relation(*(tuple(rename[x] for x in w)[::step] for w in (r.lhs, r.rhs)))
+        if image not in relations:
+            relations.add(image)
+            todo.append(image)
+    return mk.Presentation(p.letters, tuple(relations))
 
 
 def oracle_classes(p, n):
@@ -74,14 +96,11 @@ def test_level_images_match_word_walks(p):
                 assert collision_groups(images) == expected
 
 
-@settings(max_examples=30, deadline=None)
-@given(presentations())
-@example(mk.parse_presentation("generators: a b\nrelation: ab = bb\n"))
-def test_search_matches_oracle(p):
-    # every pair of distinct classes under every context letter, by the oracle
+def oracle_failures(p, max_len):
+    """Every pair of distinct classes under every context letter, by the oracle."""
     contexts = sorted({cls[0] for cls in oracle_classes(p, 1)}, key=p.word_key)
     expected = set()
-    for n in range(1, 4):
+    for n in range(1, max_len):
         prod = naive_partition(p, n + 1)
         reps = sorted((cls[0] for cls in oracle_classes(p, n)), key=p.word_key)
         for x, y in combinations(reps, 2):
@@ -90,9 +109,28 @@ def test_search_matches_oracle(p):
                     expected.add(mk.CancellationFailure("left", g, x, y))
                 if prod[x + g] == prod[y + g]:
                     expected.add(mk.CancellationFailure("right", g, x, y))
+    return expected
+
+
+@settings(max_examples=30, deadline=None)
+@given(presentations())
+@example(mk.parse_presentation("generators: a b\nrelation: ab = bb\n"))
+def test_search_matches_oracle(p):
     found = mk.search_failures(p, 4)
     assert len(found) == len(set(found))
-    assert set(found) == expected
+    assert set(found) == oracle_failures(p, 4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(symmetric_presentations())
+@example(mk.parse_presentation("generators: a b c\nrelation: ab = ac\nrelation: ba = ca\n"))
+def test_reduced_search_matches_oracle_and_unreduced(p):
+    # to length 6 against the unreduced search, where the finder's cap leaves
+    # it room on two letters; to length 4 against the oracle
+    with patch.object(cancel, "letter_symmetries", no_symmetries):
+        unreduced = mk.search_failures(p, 6)
+    assert mk.search_failures(p, 6) == unreduced
+    assert set(mk.search_failures(p, 4)) == oracle_failures(p, 4)
 
 
 @settings(max_examples=40, deadline=None)
