@@ -38,10 +38,8 @@ from .rewrite import (
 from .divisibility import DivisionResult, McmReport, cm_r, left_divides, mcm_r, right_divides
 from .garside import (
     FundamentalCertificate,
-    FundamentalGarsideCheck,
     GarsideReport,
     atoms,
-    cross_check_fundamental_garside,
     verify_fundamental,
     verify_garside,
 )
@@ -106,10 +104,8 @@ __all__ = [
     "mcm_r",
     "right_divides",
     "FundamentalCertificate",
-    "FundamentalGarsideCheck",
     "GarsideReport",
     "atoms",
-    "cross_check_fundamental_garside",
     "verify_fundamental",
     "verify_garside",
     "CancellationFailure",

@@ -9,15 +9,18 @@ canonical forms off them in one pass: a division test closes over and caches
 the class of v only, and ``cap`` bounds that closure alone.  Common
 multiples are whole-level questions and read the graded class tables instead:
 u left-divides a length-n class exactly when that class is the class of u*z
-for some length-(n - |u|) class z, and ``RewriteEngine.left_multiples`` lists
-those by a walk through the tables, so no class is closed over.  In a
-homogeneous presentation proper divisors are strictly shorter, so the minimal
-elements reported within the bound are exact.
+for some length-(n - |u|) class z, and ``RewriteEngine.left_levels`` lists
+those length by length, each level one table lookup per class from the one
+before, so no class is closed over.  The minimal ones are read off the same
+tables, one row per common multiple a letter shorter.  In a homogeneous
+presentation proper divisors are strictly shorter, so the minimal elements
+reported within the bound are exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable
 
 from .presentation import Presentation, Word
@@ -35,9 +38,10 @@ class McmReport:
     """Common right multiples of a word set up to a length bound.
 
     ``minimal`` holds the members of ``common_multiples`` with no proper
-    left divisor among the common multiples.  ``lcm_up_to_bound`` is set only
-    when a single minimal element exists and it left-divides every listed
-    common multiple, i.e. a least common multiple up to the bound.
+    left divisor among the common multiples.  ``lcm_up_to_bound`` is set
+    exactly when a single minimal element exists; it then left-divides every
+    listed common multiple, i.e. it is a least common multiple up to the
+    bound.
     """
 
     bound: int
@@ -71,15 +75,21 @@ def right_divides(u: Word, v: Word, p: Presentation, cap: int = DEFAULT_CAP) -> 
     return _divides(u, v, p, cap, "right")
 
 
-def _cm_raw(js: list[str], eng, max_len: int) -> list[str]:
+def _cm_raw(js: list[str], eng, max_len: int) -> list[set[int]]:
+    """The class ids of the common right multiples of js at each length
+    0..max_len: one left_levels generator per word of js, zipped from the
+    length of the longest word on."""
     if not js:
         raise ValueError("common multiples of an empty set are everything")
-    found = []
-    for n in range(max(len(j) for j in js), max_len + 1):
-        common = set.intersection(*(set(eng.left_multiples(j, n)) for j in js))
-        canons = eng.partition(n)
-        found.extend(canons[c] for c in sorted(common))
-    return found
+    lo = max(len(j) for j in js)
+    levels = zip(*(islice(eng.left_levels(j, max_len), lo - len(j), None) for j in js))
+    common = [set.intersection(*map(set, images)) for images in levels]
+    return [set()] * min(lo, max_len + 1) + common
+
+
+def _decode(eng, levels: list[set[int]]) -> frozenset[Word]:
+    """The canonical words of the class ids of each length."""
+    return frozenset(eng.decode(eng.partition(n)[c]) for n, ids in enumerate(levels) for c in ids)
 
 
 def cm_r(J: Iterable[Word], p: Presentation, max_len: int, cap: int = DEFAULT_CAP) -> frozenset[Word]:
@@ -89,37 +99,38 @@ def cm_r(J: Iterable[Word], p: Presentation, max_len: int, cap: int = DEFAULT_CA
     """
     _require_homogeneous(p)
     eng = engine(p)
-    js = [eng.encode(j) for j in J]
-    return frozenset(eng.decode(c) for c in _cm_raw(js, eng, max_len))
+    return _decode(eng, _cm_raw([eng.encode(j) for j in J], eng, max_len))
 
 
 def mcm_r(J: Iterable[Word], p: Presentation, max_len: int, cap: int = DEFAULT_CAP) -> McmReport:
     """Minimal common right multiples of J within the length bound.
 
-    An element is minimal when no other common multiple properly left-divides
-    it; proper divisors are strictly shorter here, so boundedness cannot
-    produce false minimals (it can only hide longer ones).  ``cap`` bounds
-    closures only, and this scan of the class tables builds none.
+    Common right multiples are closed under right multiplication, so a
+    common multiple u has a proper left divisor v among them exactly when
+    u = c*a for a common multiple c one letter shorter (c = v*w where
+    u = v*w*a) and a letter a: the minimal ones of length n are those missed
+    by the table rows T_(n-1)[c*k + a] of the common multiples c of length
+    n - 1.  Proper divisors are strictly shorter here, so boundedness cannot
+    produce false minimals (it can only hide longer ones).  Following that
+    descent from any common multiple ends at a minimal one below it, so a
+    lone minimal element left-divides every common multiple within the
+    bound: it is the lcm up to the bound.  ``cap`` bounds closures only, and
+    this scan of the class tables builds none.
     """
     _require_homogeneous(p)
     eng = engine(p)
-    js = [eng.encode(j) for j in J]
-    cm = _cm_raw(js, eng, max_len)
-    multiples: dict[tuple[str, int], set[int]] = {}
-
-    def divides(v: str, u: str) -> bool:
-        key = (v, len(u))
-        if key not in multiples:
-            multiples[key] = set(eng.left_multiples(*key))
-        return eng.class_of(u) in multiples[key]
-
-    minimal = [u for u in cm if not any(divides(v, u) for v in cm if len(v) < len(u))]
-    lcm = None
-    if len(minimal) == 1 and all(divides(minimal[0], u) for u in cm):
-        lcm = minimal[0]
+    cm = _cm_raw([eng.encode(j) for j in J], eng, max_len)
+    minimal = cm[:1]
+    for n in range(1, len(cm)):
+        reached = set()
+        if cm[n - 1]:
+            for a in eng.chars:  # the column T_(n-1)[a::k], read at each c
+                reached.update(map(eng.right_multiples(a, n).__getitem__, cm[n - 1]))
+        minimal.append(cm[n] - reached)
+    least = _decode(eng, minimal)
     return McmReport(
         bound=max_len,
-        common_multiples=frozenset(eng.decode(c) for c in cm),
-        minimal=frozenset(eng.decode(c) for c in minimal),
-        lcm_up_to_bound=None if lcm is None else eng.decode(lcm),
+        common_multiples=_decode(eng, cm),
+        minimal=least,
+        lcm_up_to_bound=next(iter(least)) if len(least) == 1 else None,
     )

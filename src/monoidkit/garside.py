@@ -4,8 +4,7 @@ A word D is *fundamental* when some permutation sigma of the atoms satisfies
 D = s * D_s = D_s * sigma(s) for every atom s (with D_s the left quotient).
 It is a *Garside element* when its left- and right-divisor sets coincide,
 are finite, and generate the monoid.  For atomic cancellative monoids the two
-notions agree; `cross_check_fundamental_garside` tests that agreement on
-concrete words, which is a useful self-check of the whole divisor machinery.
+notions agree.
 
 Both tests close over the class of delta only, so ``cap`` bounds that one
 closure: quotients and divisor sets are unions of classes read off it.
@@ -50,16 +49,6 @@ class GarsideReport:
     @property
     def is_garside(self) -> bool:
         return self.coincide and self.generate
-
-
-@dataclass(frozen=True)
-class FundamentalGarsideCheck:
-    fundamental: bool
-    garside: bool
-
-    @property
-    def consistent(self) -> bool:
-        return self.fundamental == self.garside
 
 
 def atoms(p: Presentation) -> frozenset[str]:
@@ -180,12 +169,3 @@ def verify_garside(delta: Word, p: Presentation, cap: int = DEFAULT_CAP) -> Gars
         coincide=left_canon == right_canon,
         generate=set(eng.partition(1)) <= left_canon | right_canon,
     )
-
-
-def cross_check_fundamental_garside(
-    delta: Word, p: Presentation, cap: int = DEFAULT_CAP
-) -> FundamentalGarsideCheck:
-    """Run both characterizations; on a cancellative monoid they must agree."""
-    cert = verify_fundamental(delta, p, cap)
-    report = verify_garside(delta, p, cap)
-    return FundamentalGarsideCheck(fundamental=cert is not None, garside=report.is_garside)

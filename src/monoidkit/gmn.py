@@ -15,6 +15,7 @@ division laws which together give left cancellativity.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import product
 
@@ -211,10 +212,10 @@ def check_division_law(
     every letter only when two generators are equal.  Cases ii-vi differ only
     in their heads a, b and their witness pairs, and one ``_check_law`` runs
     them all: both sides of every instance and every witness pair are read
-    off the graded class tables (``RewriteEngine.left_multiples``), never by
-    blind enumeration, and violations come by class of the product, then
-    (a, X), then (b, Y).  ``cap`` bounds closures only, and the check builds
-    none.
+    off the graded class tables (``RewriteEngine.left_levels``, one
+    generator per prefix), never by blind enumeration, and violations come
+    by class of the product, then (a, X), then (b, Y).  ``cap`` bounds
+    closures only, and the check builds none.
     """
     if case not in CASES:
         raise ValueError(f"case must be one of {CASES}")
@@ -277,18 +278,25 @@ def _check_law(eng, max_len, heads_x, heads_y, witnesses):
     some (p1, p2) in witnesses(a, b, |X|), at total lengths 2..max_len.
 
     a runs over heads_x and b over heads_y, both sorted; witnesses returns
-    None when (a, b) is no instance of the law.  a X and b Y meet when
-    left_multiples puts them in one class, and a witness pair holds when (X, Y)
+    None when (a, b) is no instance of the law.  a X and b Y meet when their
+    left images put them in one class, and a witness pair holds when (X, Y)
     is (class of p1 Z, class of p2 Z) for one Z.  Instances, and so the
     violations (a X, b Y), run by class of the product, then (a, X), then
     (b, Y).
     """
-    multiples: dict[tuple[str, int], list[int]] = {}
+    levels: dict[str, tuple[Iterator[list[int]], list[list[int]]]] = {}
 
     def mult(p: str, n: int) -> list[int]:
-        if (p, n) not in multiples:
-            multiples[p, n] = eng.left_multiples(p, n)
-        return multiples[p, n]
+        # the left images of p at length n, empty when p is longer; each
+        # prefix's levels are grown from its own left_levels, never rerun
+        if len(p) > n:
+            return []
+        if p not in levels:
+            levels[p] = eng.left_levels(p, max_len), []
+        source, got = levels[p]
+        while len(got) <= n - len(p):
+            got.append(next(source))
+        return got[n - len(p)]
 
     def by_class(heads, n):
         groups: dict[int, list[tuple[str, int]]] = {}

@@ -42,7 +42,10 @@ halves of z's first node, g*z = (g*parent(z))*last(z), so
 
     class(g*z) = T[class(g*parent(z))*k + last(z)],
 
-one lookup per class from the images one level down.  Lookups are pure and
+one lookup per class from the images one level down.  ``left_levels`` carries
+them from length to length, and it is the only left-image path: common
+multiples, the division laws, the cancellation search and the center scan
+all read their left images one level at a time off it.  Lookups are pure and
 inserts idempotent, so concurrent readers are fine.
 """
 
@@ -307,19 +310,12 @@ class RewriteEngine:
             c = table[c * k + ord(ch)]
         return c
 
-    def left_multiples(self, p: str, n: int) -> list[int]:
-        """Class id of p*z for each length-(n - |p|) class id z, in order of z;
-        empty when p is longer than n.  p left-divides exactly the classes
-        listed, and p1*Z, p2*Z pair up by index."""
-        images = []
-        for images in self.left_levels(p, n):
-            pass
-        return images
-
     def left_levels(self, p: str, n: int) -> Iterator[list[int]]:
-        """left_multiples(p, m) for m = |p|, |p| + 1, ..., n in turn, i.e. the
-        images p*z of the classes z of length 0, 1, ..., n - |p|; nothing when
-        p is longer than n.
+        """The left images of p at lengths |p|, |p| + 1, ..., n in turn: at
+        length m, the class id of p*z for each length-(m - |p|) class id z,
+        in order of z.  p left-divides exactly the classes listed, and the
+        levels of p1 and p2 at the same |z| pair up by index (p1*z, p2*z).
+        Nothing is yielded when p is longer than n.
 
         Each level comes from the one before: the canonical word of z is that
         of parent(z) followed by last(z), so p*z = (p*parent(z))*last(z) is

@@ -99,12 +99,13 @@ def test_06_fundamental_iff_garside():
     with budget("6 fundamental iff Garside on g(2,2)", 60):
         ctx = mk.build_gmn(2, 2)
         p = ctx.presentation
-        assert mk.cross_check_fundamental_garside(ctx.delta, p).consistent
-        assert mk.cross_check_fundamental_garside((), p).consistent
+        d = ctx.delta
+        assert (mk.verify_fundamental(d, p) is not None) == mk.verify_garside(d, p).is_garside
+        assert (mk.verify_fundamental((), p) is not None) == mk.verify_garside((), p).is_garside
         rng = random.Random(20260809)
         for _ in range(20):
             w = tuple(rng.choice(p.letters) for _ in range(rng.randint(0, 5)))
-            assert mk.cross_check_fundamental_garside(w, p).consistent
+            assert (mk.verify_fundamental(w, p) is not None) == mk.verify_garside(w, p).is_garside
 
 
 def test_07_no_least_common_multiple():

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 import monoidkit as mk
@@ -116,6 +118,25 @@ def test_mcm_r_no_least_common_multiple(p22):
     assert rep.minimal <= rep.common_multiples
     # still no least common multiple one level up
     assert mk.mcm_r([("t1",), ("t2",)], p22, 5).lcm_up_to_bound is None
+
+
+@pytest.mark.parametrize("m,n,max_len,minimal,common", [(2, 2, 8, 48, 2716), (3, 2, 7, 12, 271)])
+def test_mcm_r_no_lcm_at_paper_scale(m, n, max_len, minimal, common):
+    # the minimal common multiples of t1 and t2 are the w(u)*delta1 with no
+    # u1..un suffix on w(u), as the no-lcm claim predicts, so there is no lcm
+    ctx = mk.build_gmn(m, n)
+    p = ctx.presentation
+    rep = mk.mcm_r([("t1",), ("t2",)], p, max_len)
+    predicted = {
+        mk.canonical(w + ctx.delta1, p)
+        for k in range(max_len - len(ctx.delta1) + 1)
+        for w in product(ctx.u_letters, repeat=k)
+        if mk.in_rm(ctx, w, 2)
+    }
+    assert rep.minimal == predicted
+    assert len(rep.minimal) == minimal
+    assert len(rep.common_multiples) == common
+    assert rep.lcm_up_to_bound is None
 
 
 def test_mcm_r_singleton(p22, rng):

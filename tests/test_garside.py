@@ -84,14 +84,14 @@ def test_garside_empty_and_letter(p22):
 
 
 def test_cross_check_on_cancellative(g22, p22, rng):
+    # on a cancellative monoid, fundamental and Garside agree
     for w in (g22.delta, (), ("t1",), ("s", "t1", "t2")):
-        chk = mk.cross_check_fundamental_garside(w, p22)
-        assert chk.consistent
-    assert mk.cross_check_fundamental_garside(g22.delta, p22).fundamental
-    assert not mk.cross_check_fundamental_garside(("s", "t1", "t2"), p22).fundamental
+        assert (mk.verify_fundamental(w, p22) is not None) == mk.verify_garside(w, p22).is_garside
+    assert mk.verify_fundamental(g22.delta, p22) is not None
+    assert mk.verify_fundamental(("s", "t1", "t2"), p22) is None
     for _ in range(12):
         w = random_word(rng, p22, 5)
-        assert mk.cross_check_fundamental_garside(w, p22).consistent
+        assert (mk.verify_fundamental(w, p22) is not None) == mk.verify_garside(w, p22).is_garside
 
 
 def test_sigma_count_when_every_permutation_fits():

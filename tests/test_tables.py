@@ -11,7 +11,7 @@ import monoidkit as mk
 from monoidkit import cancel
 from monoidkit.rewrite import collision_groups, engine
 
-from conftest import naive_left_divides, naive_partition, no_symmetries
+from conftest import W, naive_left_divides, naive_partition, no_symmetries
 
 
 @st.composite
@@ -76,12 +76,13 @@ def test_level_images_match_word_walks(p):
     # the whole-level images against class_of on each concatenated word
     eng = engine(p)
     for q in ("".join(w) for j in range(4) for w in product(eng.chars, repeat=j)):
-        for n in range(len(q), 5):
+        levels = list(eng.left_levels(q, 4))
+        assert len(levels) == 5 - len(q)
+        for n, images in enumerate(levels, len(q)):
             zs = eng.partition(n - len(q))
-            assert eng.left_multiples(q, n) == [eng.class_of(q + z) for z in zs]
+            assert images == [eng.class_of(q + z) for z in zs]
             assert list(eng.right_multiples(q, n)) == [eng.class_of(z + q) for z in zs]
-        # the levels of the left recurrence, one after the other
-        assert list(eng.left_levels(q, 4)) == [eng.left_multiples(q, n) for n in range(len(q), 5)]
+        assert list(eng.left_levels(q + "\x00", len(q))) == []  # longer than the bound
     for n in range(4):
         ws = eng.partition(n)
         for g in eng.chars:
@@ -91,7 +92,7 @@ def test_level_images_match_word_walks(p):
                     image = eng.class_of(g + w if side == "left" else w + g)
                     groups.setdefault(image, []).append(x)
                 expected = [group for group in groups.values() if len(group) > 1]
-                images = (eng.left_multiples(g, n + 1) if side == "left"
+                images = (list(eng.left_levels(g, n + 1))[-1] if side == "left"
                           else eng.right_multiples(g, n + 1))
                 assert collision_groups(images) == expected
 
@@ -133,12 +134,27 @@ def test_reduced_search_matches_oracle_and_unreduced(p):
     assert set(mk.search_failures(p, 4)) == oracle_failures(p, 4)
 
 
-@settings(max_examples=40, deadline=None)
-@given(presentations(), st.data())
-def test_common_multiples_match_oracle(p, data):
+@st.composite
+def common_multiple_queries(draw):
+    """A presentation, a set J of 1-2 words of up to 2 letters, and a bound
+    from the longest word of J to 4."""
+    p = draw(presentations())
     word = st.text(alphabet="".join(p.letters), max_size=2).map(tuple)
-    J = data.draw(st.lists(word, min_size=1, max_size=2))
-    bound = data.draw(st.integers(max(map(len, J)), 4))
+    J = draw(st.lists(word, min_size=1, max_size=2))
+    return p, J, draw(st.integers(max(map(len, J)), 4))
+
+
+# b and cb have the minimal common multiples bbc and bbab, of two lengths
+NO_LCM = mk.parse_presentation("generators: a b c\nrelation: baa = cab\nrelation: bb = cc\n")
+
+
+@settings(max_examples=40, deadline=None)
+@given(common_multiple_queries())
+@example((NO_LCM, [W("b"), W("cb")], 4))
+@example((NO_LCM, [(), W("cb")], 4))
+@example((NO_LCM, [()], 3))
+def test_common_multiples_match_oracle(query):
+    p, J, bound = query
     common = [
         cls[0]
         for n in range(max(map(len, J)), bound + 1)
