@@ -53,7 +53,6 @@ from .gmn import (
     DivisionLawReport,
     DivisionLawViolation,
     GmnContext,
-    anti_involution,
     build_gmn,
     check_division_law,
     delta_quotient,
@@ -61,14 +60,11 @@ from .gmn import (
     split_tail_run,
 )
 from .groupwords import (
-    LiftResult,
     SignedWord,
     center_scan,
-    format_signed_word,
     free_reduce,
     group_equal,
     parse_signed_word,
-    positive_lift,
 )
 
 __version__ = "0.1.0"
@@ -115,18 +111,14 @@ __all__ = [
     "DivisionLawReport",
     "DivisionLawViolation",
     "GmnContext",
-    "anti_involution",
     "build_gmn",
     "check_division_law",
     "delta_quotient",
     "in_rm",
     "split_tail_run",
-    "LiftResult",
     "SignedWord",
     "center_scan",
-    "format_signed_word",
     "free_reduce",
     "group_equal",
     "parse_signed_word",
-    "positive_lift",
 ]

@@ -8,9 +8,8 @@ fixtures.
 
 This module also houses the combinatorial helpers that the cancellativity
 argument runs on: the maximal consecutive-index suffix run of a one-family
-word, quotients of delta1/delta2 by such runs, the order-reversing symmetry
-that swaps left and right cancellation, and a bounded checker for the six
-division laws which together give left cancellativity.
+word, quotients of delta1/delta2 by such runs, and a bounded checker for the
+six division laws which together give left cancellativity.
 """
 
 from __future__ import annotations
@@ -145,25 +144,6 @@ def in_rm(ctx: GmnContext, w: Word, family: int) -> bool:
     return w[len(w) - size :] != full
 
 
-def anti_involution(ctx: GmnContext, w: Word) -> Word:
-    """Reverse the word and swap t_i with t_(m+1-i), u_j with u_(n+1-j).
-
-    This maps each defining relation to a defining relation while reversing
-    products, so it exchanges left and right divisibility and left and right
-    cancellation; applying it twice is the identity.
-    """
-    out = []
-    for x in reversed(w):
-        fam, i = ctx.family_of(x)
-        if fam == "s":
-            out.append("s")
-        elif fam == "t":
-            out.append(f"t{ctx.m + 1 - i}")
-        else:
-            out.append(f"u{ctx.n + 1 - i}")
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # bounded verification of the six division laws
 
@@ -280,9 +260,10 @@ def _check_law(eng, max_len, heads_x, heads_y, witnesses):
     a runs over heads_x and b over heads_y, both sorted; witnesses returns
     None when (a, b) is no instance of the law.  a X and b Y meet when their
     left images put them in one class, and a witness pair holds when (X, Y)
-    is (class of p1 Z, class of p2 Z) for one Z.  Instances, and so the
-    violations (a X, b Y), run by class of the product, then (a, X), then
-    (b, Y).
+    is (class of p1 Z, class of p2 Z) for one Z.  At each length only the
+    images of heads_x are grouped by class, and those of heads_y are streamed
+    past the groups.  The violations (a X, b Y) of a length come by class of
+    the product, then (a, X), then (b, Y).
     """
     levels: dict[str, tuple[Iterator[list[int]], list[list[int]]]] = {}
 
@@ -298,32 +279,33 @@ def _check_law(eng, max_len, heads_x, heads_y, witnesses):
             got.append(next(source))
         return got[n - len(p)]
 
-    def by_class(heads, n):
-        groups: dict[int, list[tuple[str, int]]] = {}
-        for a in heads:
-            for x, c in enumerate(mult(a, n)):
-                groups.setdefault(c, []).append((a, x))
-        return groups
-
     instances = 0
     violations = []
     for n in range(2, max_len + 1):
-        left, right = by_class(heads_x, n), by_class(heads_y, n)
+        left: dict[int, list[tuple[str, int]]] = {}
+        for a in heads_x:
+            for x, c in enumerate(mult(a, n)):
+                left.setdefault(c, []).append((a, x))
         reached: dict[tuple[str, str], set[tuple[int, int]] | None] = {}
-        for c in sorted(left.keys() & right.keys()):
-            for (a, x), (b, y) in product(left[c], right[c]):
-                xlen, ylen = n - len(a), n - len(b)
-                if (a, b) not in reached:
-                    ws = witnesses(a, b, xlen)
-                    reached[a, b] = None if ws is None else {
-                        pair for p1, p2 in ws
-                        for pair in zip(mult(p1, xlen), mult(p2, ylen))
-                    }
-                if reached[a, b] is None:
-                    continue
-                instances += 1
-                if (x, y) not in reached[a, b]:
-                    violations.append(
-                        (a + eng.partition(xlen)[x], b + eng.partition(ylen)[y])
-                    )
+        found = []
+        for b in heads_y:
+            ylen = n - len(b)
+            for y, c in enumerate(mult(b, n)):
+                for a, x in left.get(c, ()):
+                    xlen = n - len(a)
+                    if (a, b) not in reached:
+                        ws = witnesses(a, b, xlen)
+                        reached[a, b] = None if ws is None else {
+                            pair for p1, p2 in ws
+                            for pair in zip(mult(p1, xlen), mult(p2, ylen))
+                        }
+                    if reached[a, b] is None:
+                        continue
+                    instances += 1
+                    if (x, y) not in reached[a, b]:
+                        found.append((c, a, x, b, y))
+        violations.extend(
+            (a + eng.partition(n - len(a))[x], b + eng.partition(n - len(b))[y])
+            for _, a, x, b, y in sorted(found)
+        )
     return instances, violations

@@ -6,11 +6,7 @@ x * delta = delta * sigma(x) for every letter x, so a positive word crosses
 delta as w * delta = delta * sigma(w), letter by letter; and every inverse
 letter is a~ = D_a * delta~, so w * a~ = delta~ * sigma^-1(w * D_a).
 
-``positive_lift`` is the plain lift: lambda = delta^N is central, each g~
-equals D_g * delta^(N-1) * lambda~, and pulling the lambda~ factors to the
-front turns a signed word into lambda^-k * P with P positive.
-
-``group_equal`` instead keeps a word as delta^j * r with r positive, built in
+``group_equal`` keeps a word as delta^j * r with r positive, built in
 one left-to-right pass over its free reduction.  A positive letter goes onto
 the end of r; when the last |delta| letters of r are a member of delta's
 class they are dropped, sigma is applied to the rest and j goes up by one.
@@ -36,8 +32,6 @@ Signed-word syntax: the token suffix ``~`` marks an inverse (``s~``, ``t1~``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .cancel import search_failures
 from .errors import InjectivityNotEstablishedError
 from .garside import FundamentalCertificate
@@ -45,14 +39,6 @@ from .presentation import Presentation, Word
 from .rewrite import DEFAULT_CAP, engine, _require_homogeneous
 
 SignedWord = tuple[tuple[str, int], ...]
-
-
-@dataclass(frozen=True)
-class LiftResult:
-    """``positive`` equals lambda^k times the input, as group elements."""
-
-    k: int
-    positive: Word
 
 
 def parse_signed_word(p: Presentation, text: str) -> SignedWord:
@@ -81,15 +67,6 @@ def parse_signed_word(p: Presentation, text: str) -> SignedWord:
     return tuple(out)
 
 
-def format_signed_word(p: Presentation, sw: SignedWord) -> str:
-    if not sw:
-        return "1"
-    toks = [x + ("~" if sign < 0 else "") for x, sign in sw]
-    if all(len(x) == 1 for x in p.letters):
-        return "".join(toks)
-    return ".".join(toks)
-
-
 def free_reduce(sw: SignedWord) -> SignedWord:
     """Cancel adjacent g g~ and g~ g pairs until none remain."""
     out: list[tuple[str, int]] = []
@@ -99,39 +76,6 @@ def free_reduce(sw: SignedWord) -> SignedWord:
         else:
             out.append(entry)
     return tuple(out)
-
-
-def _letter_atoms(p: Presentation, cert: FundamentalCertificate) -> dict[str, str]:
-    """Each letter's certificate atom: the atom in the letter's class."""
-    eng = engine(p)
-    by_class = {eng.class_of(eng.encode((a,))): a for a in cert.quotients}
-    out = {}
-    for x in p.letters:
-        a = by_class.get(eng.class_of(eng.encode((x,))))
-        if a is None:
-            raise ValueError(f"letter {x!r} has no atom representative in the certificate")
-        out[x] = a
-    return out
-
-
-def positive_lift(sw: SignedWord, cert: FundamentalCertificate, p: Presentation) -> LiftResult:
-    """Clear inverses: k counts inverse letters after free reduction, and each
-    g~ becomes quotients[g] followed by delta^(N-1)."""
-    reduced = free_reduce(sw)
-    atom = _letter_atoms(p, cert)
-    pad = cert.delta * (cert.order - 1)
-    out: list[str] = []
-    k = 0
-    for letter, sign in reduced:
-        if letter not in p.index:
-            raise ValueError(f"unknown letter {letter!r}")
-        if sign > 0:
-            out.append(letter)
-        else:
-            k += 1
-            out.extend(cert.quotients[atom[letter]])
-            out.extend(pad)
-    return LiftResult(k=k, positive=tuple(out))
 
 
 class _DeltaForms:
@@ -144,7 +88,13 @@ class _DeltaForms:
         self.delta = eng.encode(cert.delta)
         self.delta_class = eng.closure(self.delta, cap)
         enc = {x: eng.encode((x,)) for x in p.letters}
-        atom = _letter_atoms(p, cert)
+        # each letter's certificate atom: the atom in the letter's class
+        by_class = {eng.class_of(enc[a]): a for a in cert.quotients}
+        atom = {}
+        for x in p.letters:
+            if (a := by_class.get(eng.class_of(enc[x]))) is None:
+                raise ValueError(f"letter {x!r} has no atom representative in the certificate")
+            atom[x] = a
         preimage = {b: a for a, b in cert.sigma.items()}
         self.atom = {enc[x]: enc[a] for x, a in atom.items()}
         self.quotient = {enc[a]: eng.encode(q) for a, q in cert.quotients.items()}

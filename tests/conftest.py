@@ -73,6 +73,43 @@ def naive_partition(p, n):
     return {w: find(w) for w in words}
 
 
+def naive_lift(sw, cert, p):
+    """(k, P) with P = lambda^k * sw in the group, lambda = delta^order central.
+
+    After free reduction each g~ becomes D_a * delta^(order-1), a the atom in
+    g's class, since a * D_a = delta.  Every certificate equation
+    s * D_s = delta = D_s * sigma(s) is checked by the oracle first, and the
+    atoms are found by it too, so no engine code is involved.
+    """
+    delta = tuple(cert.delta)
+    for s, q in cert.quotients.items():
+        assert naive_equal((s,) + q, delta, p), (s, q)
+        assert naive_equal(q + (cert.sigma[s],), delta, p), (s, q)
+    atom = {x: next(a for a in cert.quotients if naive_equal((x,), (a,), p)) for x in p.letters}
+    reduced = []
+    for letter, sign in sw:
+        if reduced and reduced[-1] == (letter, -sign):
+            reduced.pop()
+        else:
+            reduced.append((letter, sign))
+    k, out = 0, []
+    for letter, sign in reduced:
+        if sign > 0:
+            out.append(letter)
+        else:
+            k += 1
+            out.extend(cert.quotients[atom[letter]] + delta * (cert.order - 1))
+    return k, tuple(out)
+
+
+def found_anti(p, max_len):
+    """The anti-automorphism that ``cancel.letter_symmetries`` finds up to
+    max_len, applied to letter tuples as reverse, then rename."""
+    eng = mk.rewrite.engine(p)
+    rename = dict(zip(p.letters, eng.decode(mk.cancel.letter_symmetries(eng, max_len).anti)))
+    return lambda w: tuple(rename[x] for x in reversed(w))
+
+
 def no_symmetries(eng, max_len):
     """Stands in for ``cancel.letter_symmetries`` and finds nothing, so every
     letter class is scanned on both sides, as the unreduced search does."""

@@ -8,11 +8,15 @@ hides the true cost.
 
 import json
 import random
+import re
 import time
 from collections import Counter
+from pathlib import Path
 
 import monoidkit as mk
 from monoidkit.cli import run
+
+from conftest import found_anti
 
 
 def W(s):
@@ -186,10 +190,11 @@ def test_11_invariant_suites():
             x = rand(m6, 1, 5)
             assert mk.equal(u, x, m6) == mk.equal(x, u, m6)
 
-        # anti-involution laws
+        # anti-involution laws, for the anti-automorphism the symmetry
+        # finder recovers
+        phi = found_anti(p22, 5)
         for _ in range(60):
             u, v = rand(p22, 0, 5), rand(p22, 0, 5)
-            phi = lambda w: mk.anti_involution(ctx, w)
             assert phi(phi(u)) == u
             assert phi(u + v) == phi(v) + phi(u)
             assert mk.equal(u, v, p22) == mk.equal(phi(u), phi(v), p22)
@@ -215,3 +220,12 @@ def test_11_invariant_suites():
         for a, b in pairs:
             base = mk.group_equal(a, b, p22, cert)
             assert mk.group_equal(lam + a, lam + b, p22, cert) == base
+
+
+def test_12_readme_library_sketch():
+    # the README's python block runs as written, so it calls no deleted name
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+    assert len(blocks) == 1
+    with budget("README library sketch", 30):
+        exec(compile(blocks[0], "README.md", "exec"), {})

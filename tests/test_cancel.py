@@ -64,7 +64,8 @@ def test_symmetries_of_m6p_completed(m6pc):
 
 @pytest.mark.parametrize("m, n, max_len", [(2, 2, 5), (3, 2, 6), (3, 3, 6)])
 def test_symmetries_of_gmn(m, n, max_len):
-    # gmn.anti_involution, and when m = n the t <-> u swap
+    # reverse, then t_i -> t_(m+1-i) and u_j -> u_(n+1-j); and when m = n the
+    # t <-> u swap
     ctx = mk.build_gmn(m, n)
     letters = ctx.presentation.letters
     orbits, anti = found_symmetries(ctx.presentation, max_len)
@@ -72,7 +73,8 @@ def test_symmetries_of_gmn(m, n, max_len):
         assert orbits == {frozenset("s")} | {frozenset({f"t{i}", f"u{i}"}) for i in range(1, m + 1)}
     else:
         assert orbits == {frozenset({x}) for x in letters}
-    assert anti == {x: mk.anti_involution(ctx, (x,))[0] for x in letters}
+    assert anti == {"s": "s", **{f"t{i}": f"t{m + 1 - i}" for i in range(1, m + 1)},
+                    **{f"u{j}": f"u{n + 1 - j}" for j in range(1, n + 1)}}
 
 
 def ten_letter_presentation():

@@ -5,7 +5,7 @@ import pytest
 
 import monoidkit as mk
 
-from conftest import random_word
+from conftest import found_anti, random_word
 
 
 def test_build_counts():
@@ -98,23 +98,27 @@ def test_in_rm(g22):
         mk.in_rm(g22, ("t1",), 2)
 
 
-def test_anti_involution_values(g22):
-    assert mk.anti_involution(g22, ("s", "t1", "t2")) == ("t1", "t2", "s")
-    assert mk.anti_involution(g22, ()) == ()
+# the anti-automorphism that the symmetry finder recovers on g(2,2)
+@pytest.fixture(scope="module")
+def anti(p22):
+    return found_anti(p22, 5)
 
 
-def test_anti_involution_laws(g22, rng):
+def test_anti_involution_values(anti):
+    assert anti(("s", "t1", "t2")) == ("t1", "t2", "s")
+    assert anti(()) == ()
+
+
+def test_anti_involution_laws(g22, anti, rng):
     p = g22.presentation
     for _ in range(60):
         w = random_word(rng, p, 5)
-        assert mk.anti_involution(g22, mk.anti_involution(g22, w)) == w
+        assert anti(anti(w)) == w
         v = random_word(rng, p, 3)
-        assert mk.anti_involution(g22, w + v) == (
-            mk.anti_involution(g22, v) + mk.anti_involution(g22, w)
-        )
+        assert anti(w + v) == anti(v) + anti(w)
 
 
-def test_anti_involution_preserves_relations(g22):
+def test_anti_involution_preserves_relations(g22, anti):
     # the stored pairs equate each rotation to rotation zero; the image of a
     # pair is again a pair of rotations of the same family (or a commutation),
     # so build the full rotation closure and check membership there
@@ -126,20 +130,16 @@ def test_anti_involution_preserves_relations(g22):
             mk.Relation(a, b) for a in rots for b in rots if a != b
         )
     for r in p.relations:
-        image = mk.Relation(
-            mk.anti_involution(g22, r.lhs), mk.anti_involution(g22, r.rhs)
-        )
+        image = mk.Relation(anti(r.lhs), anti(r.rhs))
         assert image in closure
 
 
-def test_anti_involution_preserves_equality(g22, rng):
+def test_anti_involution_preserves_equality(g22, anti, rng):
     p = g22.presentation
     for _ in range(25):
         u = random_word(rng, p, 5)
         v = random_word(rng, p, 5)
-        assert mk.equal(u, v, p) == mk.equal(
-            mk.anti_involution(g22, u), mk.anti_involution(g22, v), p
-        )
+        assert mk.equal(u, v, p) == mk.equal(anti(u), anti(v), p)
 
 
 def test_delta_is_central(g22):
@@ -257,6 +257,16 @@ def test_division_law_exact_violations(case):
     assert rep.instances == instances
     assert Counter((".".join(v.lhs), ".".join(v.rhs)) for v in rep.violations) == expected
     assert all(v.case == case for v in rep.violations)
+
+
+def test_division_law_violation_order():
+    # by class of the product, then (a, X), then (b, Y), although the check
+    # meets them in (b, Y) order
+    ctx = _with_relation(mk.build_gmn(2, 2), "t2 t1", "u1 s")
+    rep = mk.check_division_law(ctx, "vi", 3)
+    assert [(".".join(v.lhs), ".".join(v.rhs)) for v in rep.violations] == [
+        ("u1.s.u2", "u2.t2.t1"), ("u1.s.u2", "u2.u1.s"), ("u2.t2.t1", "u1.s.u2"),
+    ]
 
 
 # (instances, violations) of cases i..vi at total length 5
