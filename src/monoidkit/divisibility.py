@@ -6,7 +6,11 @@ point test is a prefix scan over the class of v: sound and complete.  The
 quotients found form a union of classes (if a*q lies in the class of v and q
 equals q', so does a*q'), so ``RewriteEngine.least_words`` reads their
 canonical forms off them in one pass: a division test closes over and caches
-the class of v only, and ``cap`` bounds that closure alone.  Common
+the class of v only, and ``cap`` bounds that closure alone.  In a
+presentation flagged ``cancellative=True`` (the built g(m,n) family) a*q = a*q'
+forces q = q', so the quotients are a single class and their least word is
+its canonical form, with no union-find; a file copy of the same presentation
+carries no flag and takes the union-find pass.  Common
 multiples are whole-level questions and read the graded class tables instead:
 u left-divides a length-n class exactly when that class is the class of u*z
 for some length-(n - |u|) class z, and ``RewriteEngine.left_levels`` lists
@@ -61,8 +65,14 @@ def _divides(u: Word, v: Word, p: Presentation, cap: int, side: str) -> Division
         quots = {m[len(a):] for m in cls if m.startswith(a)}
     else:
         quots = {m[:len(b) - len(a)] for m in cls if m.endswith(a)}
-    canons = eng.least_words(quots)
-    return DivisionResult(bool(canons), frozenset(eng.decode(q) for q in canons))
+    if p.cancellative is True:
+        # u*w = u*w' (or w*u = w'*u) forces w = w', so the quotients are one
+        # class, and all of it: every w' equal to a quotient w has u*w' in the
+        # class of v too.  Its least word is the least quotient.
+        canons = [min(quots)] if quots else []
+    else:
+        canons = eng.least_words(quots)
+    return DivisionResult(bool(canons), frozenset(map(eng.decode, canons)))
 
 
 def left_divides(u: Word, v: Word, p: Presentation, cap: int = DEFAULT_CAP) -> DivisionResult:

@@ -94,14 +94,15 @@ def verify_fundamental(
     for m in cls:
         heads[m[0]].add(m[1:])
         tails[m[-1]].add(m[:-1])
+    char = {s: eng.encode((s,)) for s in ats}
     cand: dict[str, dict[str, str]] = {}
     for s in ats:
-        quots = heads[eng.encode((s,))]
+        quots = heads[char[s]]
         if not quots:
             if strict:
                 raise NotFundamentalError(f"atom {s!r} does not left-divide", atom=s)
             return None
-        both = {x: quots & tails[eng.encode((x,))] for x in ats}
+        both = {x: quots & tails[char[x]] for x in ats}
         options = {x: min(qs) for x, qs in both.items() if qs}
         if not options:
             if strict:
@@ -160,12 +161,15 @@ def verify_garside(delta: Word, p: Presentation, cap: int = DEFAULT_CAP) -> Gars
     _require_homogeneous(p)
     eng = engine(p)
     cls = eng.closure(eng.encode(delta), cap)
-    lengths = range(len(delta) + 1)
-    left_canon = {q for i in lengths for q in eng.least_words({m[:i] for m in cls})}
-    right_canon = {q for i in lengths for q in eng.least_words({m[i:] for m in cls})}
+    # the prefixes and suffixes of length 0 and |delta| are the empty word and
+    # delta's own class, whose least word is known
+    ends = {"", cls.least}
+    inner = range(1, len(delta))
+    left_canon = ends.union(*(eng.least_words({m[:i] for m in cls}) for i in inner))
+    right_canon = ends.union(*(eng.least_words({m[i:] for m in cls}) for i in inner))
     return GarsideReport(
-        left_divisors=frozenset(eng.decode(w) for w in left_canon),
-        right_divisors=frozenset(eng.decode(w) for w in right_canon),
+        left_divisors=frozenset(map(eng.decode, left_canon)),
+        right_divisors=frozenset(map(eng.decode, right_canon)),
         coincide=left_canon == right_canon,
         generate=set(eng.partition(1)) <= left_canon | right_canon,
     )

@@ -122,12 +122,12 @@ class RewriteEngine:
 
     def encode(self, w: Word) -> str:
         try:
-            return "".join(self._to_char[x] for x in w)
+            return "".join(map(self._to_char.__getitem__, w))
         except KeyError as e:
             raise ValueError(f"letter {e.args[0]!r} not in alphabet") from None
 
     def decode(self, s: str) -> Word:
-        return tuple(self._to_letter[c] for c in s)
+        return tuple(map(self._to_letter.__getitem__, s))
 
     # -- closure ------------------------------------------------------------
 
@@ -216,9 +216,11 @@ class RewriteEngine:
         relation instance in the union is met once, through one_way as in
         _extend, and joins its two words under the lesser root."""
         words = sorted(words)
+        if len(words) < 2:
+            return words
         index = {w: x for x, w in enumerate(words)}
         parent = list(range(len(words)))
-        step = len(words[0]) + 1 if words else 1
+        step = len(words[0]) + 1
         text = self.separator.join(words)
         for pat, rep in self.one_way:
             k = len(pat)
@@ -239,14 +241,14 @@ class RewriteEngine:
             return True
         if len(a) != len(b):
             return False
-        if self.balanced and sorted(a) != sorted(b):
-            return False
         ca = self._classes.get(a)
         if ca is not None:
             return b in ca
         cb = self._classes.get(b)
         if cb is not None:
             return a in cb
+        if self.balanced and sorted(a) != sorted(b):
+            return False
         return self.closure_search(a, b, cap)
 
     # -- graded class tables --------------------------------------------------
@@ -456,10 +458,10 @@ def equivalence_class(w: Word, p: Presentation, cap: int = DEFAULT_CAP) -> Equiv
         cls = eng.closure(s, cap)
     except CapExceededError as e:
         raw = getattr(e, "raw_partial", frozenset())
-        members = frozenset(eng.decode(m) for m in raw)
+        members = frozenset(map(eng.decode, raw))
         e.partial = EquivClass(w, members, eng.decode(min(raw)), truncated=True)
         raise
-    return EquivClass(w, frozenset(eng.decode(m) for m in cls), eng.decode(cls.least))
+    return EquivClass(w, frozenset(map(eng.decode, cls)), eng.decode(cls.least))
 
 
 def equal(u: Word, v: Word, p: Presentation, cap: int = DEFAULT_CAP) -> bool:

@@ -54,6 +54,19 @@ def naive_left_divides(u, v, p):
     return any(m[: len(u)] == u for m in naive_class(v, p))
 
 
+def naive_quotients(u, v, p, side):
+    """Canonical words of every w with v = u*w (side "left") or v = w*u."""
+    n = len(u)
+    if n > len(v):
+        return set()
+    cls = naive_class(v, p)
+    if side == "left":
+        quots = {m[n:] for m in cls if m[:n] == u}
+    else:
+        quots = {m[:len(m) - n] for m in cls if m[len(m) - n:] == u}
+    return {naive_canonical(q, p) for q in quots}
+
+
 def naive_partition(p, n):
     """Same-class relation on all length-n words via union-find over edges."""
     words = [tuple(w) for w in product(p.letters, repeat=n)]

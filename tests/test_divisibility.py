@@ -1,12 +1,14 @@
+from dataclasses import replace
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import monoidkit as mk
 from monoidkit import NonHomogeneousError
 from monoidkit.rewrite import engine
 
-from conftest import W, naive_left_divides, random_word
+from conftest import W, naive_class, naive_left_divides, naive_quotients, random_word
 
 
 def test_left_divides_via_rotation(p22):
@@ -68,6 +70,52 @@ def test_divides_caches_only_the_class_of_v(p22, rng):
             for x in members:
                 mk.canonical(x[n:] if side == "left" else x[:-n], warm)
             assert divides(u, v, warm) == res
+
+
+# g(2,2) and g(3,2) as built, flagged cancellative, and the same presentations
+# unflagged, so that divisions take the union-find over their quotients
+FLAGGED = [mk.build_gmn(m, n).presentation for m, n in ((2, 2), (3, 2))]
+UNFLAGGED = [replace(p, cancellative=None) for p in FLAGGED]
+
+
+@st.composite
+def gmn_divisions(draw):
+    """One of FLAGGED, a word v of up to 7 letters, a random word of up to 3
+    letters, and a member of the class of v with a cut point, so that a
+    prefix or suffix of it divides v."""
+    x = draw(st.integers(0, len(FLAGGED) - 1))
+    word = st.lists(st.sampled_from(FLAGGED[x].letters), max_size=7).map(tuple)
+    v = draw(word)
+    u = draw(st.lists(st.sampled_from(FLAGGED[x].letters), max_size=3).map(tuple))
+    m = draw(st.sampled_from(sorted(naive_class(v, FLAGGED[x]))))
+    k = draw(st.integers(0, len(v)))
+    return x, v, u, m, k
+
+
+@settings(max_examples=120, deadline=None)
+@given(gmn_divisions())
+def test_cancellative_divisions_match_union_find(query):
+    x, v, u, m, k = query
+    flagged, unflagged = FLAGGED[x], UNFLAGGED[x]
+    assert flagged.cancellative is True and unflagged.cancellative is None
+    for side, divides, cut in (("left", mk.left_divides, m[:k]),
+                               ("right", mk.right_divides, m[len(m) - k:])):
+        for w in (u, cut):
+            res = divides(w, v, flagged)
+            assert res == divides(w, v, unflagged)
+            assert res.quotients == naive_quotients(w, v, flagged, side)
+            assert len(res.quotients) == res.divides
+        assert divides(cut, v, flagged).divides
+
+
+def test_non_cancellative_quotients_keep_their_classes(m6):
+    # c*deaf = c*eafd = deaf*c = eafd*c in M6, flagged not cancellative,
+    # although deaf and eafd differ: the quotients are two classes
+    assert m6.cancellative is False
+    for side, divides in (("left", mk.left_divides), ("right", mk.right_divides)):
+        res = divides(W("c"), W("cdeaf"), m6)
+        assert res.quotients == {W("deaf"), W("eafd")}
+        assert res.quotients == naive_quotients(W("c"), W("cdeaf"), m6, side)
 
 
 def test_representative_independence(p22, rng):

@@ -7,7 +7,7 @@ import monoidkit as mk
 from monoidkit import CapExceededError, NonHomogeneousError
 from monoidkit.rewrite import engine
 
-from conftest import W, naive_canonical, naive_class, random_word
+from conftest import W, naive_canonical, naive_class, naive_quotients, random_word
 from test_tables import presentations
 
 
@@ -60,6 +60,21 @@ def test_equal_reflexive_and_shortcuts(m6, rng):
     # different lengths and different multisets decide without search
     assert not mk.equal(W("a"), W("aa"), m6)
     assert not mk.equal(W("ab"), W("ac"), m6)
+
+
+def test_equal_on_cached_pair_with_different_letter_counts():
+    # the class cache is read before the letter-count refutation, and both
+    # must answer False on a cached word against one of other letter counts
+    p = mk.fixture("M6")
+    eng = engine(p)
+    cdeaf = mk.equivalence_class(W("cdeaf"), p).members
+    for other in (W("cdeab"), W("aaaaa")):
+        assert sorted(other) != sorted(W("cdeaf")) and W("cdeaf") in cdeaf
+        assert not mk.equal(W("cdeaf"), other, p)
+        assert not mk.equal(other, W("cdeaf"), p)
+        assert eng.encode(other) not in eng._classes
+    assert mk.equal(W("cdeaf"), W("ceafd"), p)
+    assert len(eng._classes) == len(cdeaf)
 
 
 def test_canonical_values(p22, m6p):
@@ -196,18 +211,6 @@ def point_queries(draw):
     return p, tuple(u), tuple(v), tuple(w)
 
 
-def oracle_quotients(u, v, p, side):
-    n = len(u)
-    if n > len(v):
-        return set()
-    cls = naive_class(v, p)
-    if side == "left":
-        quots = {m[n:] for m in cls if m[:n] == u}
-    else:
-        quots = {m[:len(m) - n] for m in cls if m[len(m) - n:] == u}
-    return {naive_canonical(q, p) for q in quots}
-
-
 # ab = ba on abab: the second BFS level is baab, abba, aabb, and "ba" would
 # match across the first two if the level were joined without a separator
 @settings(max_examples=60, deadline=None)
@@ -222,7 +225,7 @@ def test_point_queries_match_oracle(query):
     assert mk.equal(w, v, p) == (w in cls)
     assert mk.equal(v, w, p) == (w in cls)
     for side, divides in (("left", mk.left_divides), ("right", mk.right_divides)):
-        expected = oracle_quotients(u, v, p, side)
+        expected = naive_quotients(u, v, p, side)
         res = divides(u, v, p)
         assert res.quotients == expected
         assert res.divides == bool(expected)
@@ -241,6 +244,19 @@ def class_unions(draw):
     n = draw(st.integers(0, 5))
     word = st.text(alphabet="".join(p.letters), min_size=n, max_size=n).map(tuple)
     return p, draw(st.lists(word, max_size=4))
+
+
+def test_least_words_of_fewer_than_two_words():
+    # t1.t1 matches no relation, so it is a class of one word
+    p = mk.build_gmn(2, 2).presentation
+    eng = engine(p)
+    assert naive_class(W("t1.t1"), p) == {W("t1.t1")}
+    assert eng.least_words([]) == []
+    assert eng.least_words(iter(())) == []
+    assert eng.least_words([""]) == [""]
+    one = eng.encode(W("t1.t1"))
+    assert eng.least_words(iter([one])) == [one]
+    assert eng._classes == {}
 
 
 # abab: "ba" would also match across two words joined without a separator;
