@@ -2,8 +2,8 @@
 
 Word-problem decision by rewriting closure, divisibility and common-multiple
 lattices, fundamental/Garside element verification, bounded cancellativity
-search, the g(m,n) family with its division laws, and group word equality
-through delta^j * r forms.
+search, the g(m,n) family with its division laws, group word equality
+through delta^j * r forms, and the paper's named claims as one report.
 """
 
 from .errors import (
@@ -66,6 +66,7 @@ from .groupwords import (
     group_equal,
     parse_signed_word,
 )
+from .claims import ClaimReport, check_claim
 
 __version__ = "0.1.0"
 
@@ -121,4 +122,6 @@ __all__ = [
     "free_reduce",
     "group_equal",
     "parse_signed_word",
+    "ClaimReport",
+    "check_claim",
 ]

@@ -19,9 +19,8 @@ process (the re-parse of ``gmn --run`` included); each parse starts from a
 fresh namespace, so no flag carries over from one call to the next.
 
 A bound below its least value is a usage error: ``--cap`` and ``--k`` must
-be at least 1, ``--max-len`` and ``--verify-to`` at least 0, and a claim's
-``--max-len`` at least the length of its witnesses (m+2 for ``no-lcm``,
-m+n+1 for ``center``); both claims need ``--m`` and ``--n`` at least 2.
+be at least 1, ``--max-len`` and ``--verify-to`` at least 0.  ``claim`` only
+renders ``claims.check_claim``, and an argument that it refuses is one too.
 
 Exit codes: 0 completed (boolean answers live in the payload), 1 claim ran
 but did not reproduce the expected outcome, 2 usage or parse error, 3 cap
@@ -35,10 +34,10 @@ import json
 import sys
 import time
 from functools import cache
-from itertools import product
 from pathlib import Path
 
 from .cancel import search_failures
+from .claims import check_claim
 from .divisibility import left_divides, mcm_r, right_divides
 from .errors import (
     CapExceededError,
@@ -48,11 +47,10 @@ from .errors import (
     ParseError,
 )
 from .garside import verify_fundamental, verify_garside
-from .gmn import build_gmn, in_rm
+from .gmn import build_gmn
 from .groupwords import center_scan, group_equal, parse_signed_word
 from .presentation import (
     Presentation,
-    Word,
     fixture,
     fixture_names,
     format_word,
@@ -61,7 +59,7 @@ from .presentation import (
     presentation_digest,
     serialize_presentation,
 )
-from .rewrite import DEFAULT_CAP, canonical, equal, equivalence_class
+from .rewrite import DEFAULT_CAP, equal, equivalence_class
 
 _MEMBER_LIMIT = 200  # class members echoed without --full
 _LEAST = {"--cap": 1, "--max-len": 0, "--verify-to": 0, "--k": 1}  # else exit 2
@@ -174,10 +172,6 @@ def _load(src: str) -> Presentation:
     return parse_presentation(text)
 
 
-def _sorted_words(p: Presentation, words) -> list[Word]:
-    return sorted(words, key=lambda w: (len(w), p.word_key(w)))
-
-
 # ---------------------------------------------------------------------------
 # handlers: (args, presentation or None) -> (payload, text lines, bounds
 # besides the cap, exit code, presentation of the report)
@@ -205,7 +199,7 @@ def _do_parse(args, p):
 def _do_class(args, p):
     w = parse_word(p, args.word)
     cls = equivalence_class(w, p, args.cap)
-    members = _sorted_words(p, cls.members)
+    members = p.sorted_words(cls.members)
     payload = {
         "word": w,
         "size": len(cls),
@@ -231,7 +225,7 @@ def _do_divides(args, p):
     u, v = parse_word(p, args.u), parse_word(p, args.v)
     fn = left_divides if args.side == "left" else right_divides
     res = fn(u, v, p, args.cap)
-    quots = _sorted_words(p, res.quotients)
+    quots = p.sorted_words(res.quotients)
     payload = {"side": args.side, "divides": res.divides, "quotients": quots}
     lines = [f"divides: {str(res.divides).lower()}"]
     if quots:
@@ -242,8 +236,8 @@ def _do_divides(args, p):
 def _do_mcm(args, p):
     J = [parse_word(p, w) for w in args.words]
     rep = mcm_r(J, p, args.max_len, args.cap)
-    cm = _sorted_words(p, rep.common_multiples)
-    mins = _sorted_words(p, rep.minimal)
+    cm = p.sorted_words(rep.common_multiples)
+    mins = p.sorted_words(rep.minimal)
     payload = {
         "words": J,
         "bound": rep.bound,
@@ -291,8 +285,8 @@ def _do_garside(args, p):
         "is_garside": rep.is_garside,
         "coincide": rep.coincide,
         "generate": rep.generate,
-        "left_divisors": _sorted_words(p, rep.left_divisors),
-        "right_divisors": _sorted_words(p, rep.right_divisors),
+        "left_divisors": p.sorted_words(rep.left_divisors),
+        "right_divisors": p.sorted_words(rep.right_divisors),
     }
     lines = [
         f"is_garside: {str(rep.is_garside).lower()}",
@@ -321,120 +315,17 @@ def _do_cancel_search(args, p):
     return payload, lines, {"max_len": args.max_len}, 0, p
 
 
-# claim machinery --------------------------------------------------------------
-
-def _k_words(pattern: str, k: int) -> Word:
-    """Expand 'cd|e|af' as the middle block repeated k times."""
-    head, mid, tail = pattern.split("|")
-    return tuple(head + mid * k + tail)
-
-
-_FIXTURE_CLAIMS = {
-    "M6": {
-        "cdea": ("cde|a|f", "ce|a|fd", "de|a|f", "e|a|fd"),
-        "bfe": ("bf|e|ac", "f|e|abc", "bf|e|a", "f|e|ab"),
-        "cef": ("ce|f|ab", "e|f|acb", "ce|f|a", "e|f|ac"),
-    },
-    "M6p": {
-        "dbcefa": ("dbcefa||", "dbefac||", "cefa||", "efac||"),
-    },
-    "M6p_completed": {
-        "acde": ("acde|e|abf", "d|e|aabcef", "acde|e|ab", "d|e|aabce"),
-        "cefa": ("cefa|a|cdb", "f|a|ccdeab", "cefa|a|cd", "f|a|ccdea"),
-        "eabc": ("eabc|c|efd", "b|c|eefacd", "eabc|c|ef", "b|c|eefac"),
-    },
-}
-
-
-def _claim_bound(args, least: int) -> int:
-    """--max-len, by default the least bound at which the claim's witnesses
-    appear; a smaller one could not decide the claim."""
-    if args.max_len is None:
-        return least
-    if args.max_len < least:
-        raise ParseError(f"--max-len must be at least {least} for claim {args.name}, "
-                         f"got {args.max_len}")
-    return args.max_len
-
-
 def _do_claim(args, p):
-    name = args.name.replace("-", "_") if args.name.startswith("M6") else args.name
-    checks = []
-    bounds = {"k": args.k}
-    if name in _FIXTURE_CLAIMS:
-        p = fixture(name)
-        families = _FIXTURE_CLAIMS[name]
-        ids = list(families) if args.id == "all" else [args.id]
-        if any(i not in families for i in ids):
-            raise ParseError(f"unknown claim id for {args.name}: {args.id}")
-        for cid in ids:
-            lhs, rhs, cl, cr = (_k_words(s, args.k) for s in families[cid])
-            holds, cancelled_holds = equal(lhs, rhs, p, args.cap), equal(cl, cr, p, args.cap)
-            checks.append({
-                "id": cid,
-                "k": args.k,
-                "holds": holds,
-                "cancelled_holds": cancelled_holds,
-                "reproduced": holds and not cancelled_holds,
-                "pair": [lhs, rhs],
-                "cancelled_pair": [cl, cr],
-            })
-    elif name == "no_lcm" or name == "no-lcm":
-        if args.m < 2:
-            raise ParseError("the no-lcm claim needs --m >= 2 (it compares t1 and t2)")
-        if args.n < 2:
-            raise ParseError("the no-lcm claim needs --n >= 2 (with n = 1, t1 and t2 "
-                             "have the lcm s.t1...tm)")
-        ctx = build_gmn(args.m, args.n)
-        p = ctx.presentation
-        bound = _claim_bound(args, len(ctx.delta1) + 1)
-        bounds["max_len"] = bound
-        rep = mcm_r([("t1",), ("t2",)], p, bound, args.cap)
-        predicted = set()
-        for ln in range(0, bound - len(ctx.delta1) + 1):
-            for tup in product(ctx.u_letters, repeat=ln):
-                if in_rm(ctx, tup, 2):
-                    predicted.add(canonical(tup + ctx.delta1, p, args.cap))
-        ok = (rep.minimal == frozenset(predicted)
-              and rep.lcm_up_to_bound is None and len(rep.minimal) > 1)
-        checks.append({
-            "id": "no-lcm",
-            "minimal": _sorted_words(p, rep.minimal),
-            "predicted": _sorted_words(p, predicted),
-            "lcm_up_to_bound": rep.lcm_up_to_bound,
-            "reproduced": ok,
-        })
-    elif name == "center":
-        for flag, letter in (("m", "t1"), ("n", "u1")):  # below 1, build_gmn refuses
-            if getattr(args, flag) == 1:
-                raise ParseError(f"the center claim needs --{flag} >= 2 "
-                                 f"(with {flag} = 1, {letter} is central)")
-        ctx = build_gmn(args.m, args.n)
-        p = ctx.presentation
-        bound = _claim_bound(args, len(ctx.delta))
-        bounds["max_len"] = bound
-        found = center_scan(p, bound)
-        nonempty = {w for w in found if w}
-        ok = nonempty == {canonical(ctx.delta, p, args.cap)}
-        checks.append({
-            "id": "center",
-            "central": _sorted_words(p, found),
-            "reproduced": ok,
-        })
-    else:
-        raise ParseError(f"unknown claim {args.name!r}")
-    reproduced = all(c["reproduced"] for c in checks)
-    payload = {"claims": checks, "reproduced": reproduced}
+    rep = check_claim(args.name, k=args.k, family=args.id, m=args.m, n=args.n,
+                      max_len=args.max_len, cap=args.cap)
     lines = []
-    for c in checks:
-        detail = ", ".join(
-            f"{k}={v}" for k, v in c.items()
-            if k in ("holds", "cancelled_holds") and isinstance(v, bool)
-        )
+    for c in rep.claims:
+        detail = ", ".join(f"{key}={c[key]}" for key in ("holds", "cancelled_holds") if key in c)
         lines.append(f"claim {c['id']}: {'ok' if c['reproduced'] else 'FAILED'}"
                      + (f" ({detail})" if detail else ""))
-    lines.append(f"reproduced: {str(reproduced).lower()}")
-    return payload, lines, bounds, 0 if reproduced else 1, None
+    lines.append(f"reproduced: {str(rep.reproduced).lower()}")
+    payload = {"claims": rep.claims, "reproduced": rep.reproduced}
+    return payload, lines, rep.bounds, 0 if rep.reproduced else 1, None
 
 
 def _do_gmn(args, p):
@@ -474,7 +365,7 @@ def _do_group_equal(args, p):
 
 def _do_center_scan(args, p):
     found = center_scan(p, args.max_len)
-    words = _sorted_words(p, found)
+    words = p.sorted_words(found)
     payload = {"central": words}
     lines = [f"central elements up to length {args.max_len}: "
              + (" ".join(format_word(p, w) for w in words) or "(none)")]
@@ -529,8 +420,6 @@ def run(argv: list[str]) -> int:
             return 0
         payload, lines, bounds, code, pres = args.handler(
             args, _load(args.source) if "source" in args else None)
-    except ParseError as e:
-        return _fail(args, argv, 2, str(e))
     except CapExceededError as e:
         return _fail(args, argv, 3, str(e), truncated=True)
     except (NonHomogeneousError, InjectivityNotEstablishedError, NotFundamentalError) as e:

@@ -7,8 +7,9 @@ class MonoidError(Exception):
     """Base class for all library errors."""
 
 
-class ParseError(MonoidError):
-    """Malformed presentation file or word syntax."""
+class ParseError(MonoidError, ValueError):
+    """Malformed presentation file or word syntax; a ValueError like every
+    other refused argument."""
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line

@@ -35,36 +35,16 @@ from __future__ import annotations
 from .cancel import search_failures
 from .errors import InjectivityNotEstablishedError
 from .garside import FundamentalCertificate
-from .presentation import Presentation, Word
+from .presentation import Presentation, Word, _tokenize_word
 from .rewrite import DEFAULT_CAP, engine, _require_homogeneous
 
 SignedWord = tuple[tuple[str, int], ...]
 
 
 def parse_signed_word(p: Presentation, text: str) -> SignedWord:
-    text = text.strip()
-    if text == "" or (text == "1" and "1" not in p.index):
-        return ()
-    if "." in text:
-        raw = [t for t in text.split(".") if t]
-    elif all(len(x) == 1 for x in p.letters):
-        raw = []
-        for ch in text:
-            if ch == "~":
-                if not raw:
-                    raise ValueError("'~' must follow a letter")
-                raw[-1] += "~"
-            else:
-                raw.append(ch)
-    else:
-        raw = [text]
-    out = []
-    for tok in raw:
-        name, sign = (tok[:-1], -1) if tok.endswith("~") else (tok, 1)
-        if name not in p.index:
-            raise ValueError(f"unknown letter {name!r}")
-        out.append((name, sign))
-    return tuple(out)
+    """A word whose tokens may end in ``~``, an inverse letter."""
+    return tuple((t[:-1], -1) if t.endswith("~") else (t, 1)
+                 for t in _tokenize_word(text, p.index, inverses=True))
 
 
 def free_reduce(sw: SignedWord) -> SignedWord:

@@ -23,12 +23,11 @@ import hashlib
 import re
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Sequence
+from typing import Collection, Sequence
 
 from .errors import ParseError
 
 Word = tuple[str, ...]
-EMPTY_WORD: Word = ()
 
 _LETTER_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 
@@ -103,6 +102,10 @@ class Presentation:
         idx = self.index
         return tuple(idx[x] for x in w)
 
+    def sorted_words(self, words) -> list[Word]:
+        """Words by length, then by ``word_key``: the order reports list them in."""
+        return sorted(words, key=lambda w: (len(w), self.word_key(w)))
+
     @cached_property
     def homogeneous(self) -> bool:
         return all(len(r.lhs) == len(r.rhs) for r in self.relations)
@@ -141,21 +144,25 @@ def expand_cyclic(letters: Sequence[str]) -> tuple[Relation, ...]:
 # word and file syntax
 
 
-def _tokenize_word(text: str, letters: Sequence[str]) -> Word:
+def _tokenize_word(text: str, letters: Collection[str], inverses: bool = False) -> list[str]:
+    """The letter tokens of a word: dot-separated names, one character per
+    letter when every name is one character, or else the whole text as one
+    name; ``1`` as for ``parse_word``.  With ``inverses`` a token may end in
+    ``~`` (kept on it), which no name has."""
     text = text.strip()
-    if not text:
-        return EMPTY_WORD
+    if text == "" or (text == "1" and "1" not in letters):
+        return []
     if "." in text:
         toks = [t for t in text.split(".") if t]
     elif all(len(x) == 1 for x in letters):
-        toks = list(text)
+        toks = re.findall(".~?", text, re.S)
     else:
         toks = [text]
-    alphabet = set(letters)
     for t in toks:
-        if t not in alphabet:
-            raise ParseError(f"unknown letter {t!r}")
-    return tuple(toks)
+        name = t[:-1] if inverses and t.endswith("~") else t
+        if name not in letters:
+            raise ParseError(f"unknown letter {name!r}" if name else "'~' must follow a letter")
+    return toks
 
 
 def parse_word(p: Presentation, text: str) -> Word:
@@ -163,10 +170,7 @@ def parse_word(p: Presentation, text: str) -> Word:
 
     ``1`` denotes the empty word (unless a generator is literally named "1").
     """
-    text = text.strip()
-    if text == "" or (text == "1" and "1" not in p.index):
-        return EMPTY_WORD
-    return _tokenize_word(text, p.letters)
+    return tuple(_tokenize_word(text, p.index))
 
 
 def format_word(p: Presentation, w: Word) -> str:
@@ -185,58 +189,40 @@ def parse_presentation(text: str) -> Presentation:
         if not line or line.startswith("#"):
             continue
         head, sep, rest = line.partition(":")
-        if not sep:
-            raise ParseError("expected '<directive>: ...'", lineno)
         directive = head.strip()
-        if directive == "generators":
-            if letters is not None:
-                raise ParseError("duplicate generators line", lineno)
-            toks = rest.split()
-            if not toks:
-                raise ParseError("empty generator list", lineno)
-            try:
-                letters = [check_letter(t) for t in toks]
-            except ValueError as e:
-                raise ParseError(str(e), lineno) from None
-            if len(set(letters)) != len(letters):
-                raise ParseError("duplicate generator names", lineno)
-        elif letters is None:
-            raise ParseError("generators must be declared first", lineno)
-        elif directive == "cyclic":
-            toks = rest.split()
-            if len(toks) < 2:
-                raise ParseError("cyclic needs at least two letters", lineno)
-            try:
-                relations.extend(expand_cyclic(_require_known(toks, letters, lineno)))
-            except ValueError as e:
-                raise ParseError(str(e), lineno) from None
-        elif directive == "relation":
-            sides = rest.split("=")
-            if len(sides) < 2:
-                raise ParseError("relation needs at least two sides", lineno)
-            words = []
-            for s in sides:
-                if not s.strip():
-                    raise ParseError("empty relation side", lineno)
-                try:
-                    words.append(_tokenize_word(s, letters))
-                except ParseError as e:
-                    raise ParseError(str(e), lineno) from None
-            for w in words[1:]:
-                relations.append(Relation(words[0], w))
-        else:
-            raise ParseError(f"unknown directive {directive!r}", lineno)
+        try:
+            if not sep:
+                raise ParseError("expected '<directive>: ...'")
+            if directive == "generators":
+                if letters is not None:
+                    raise ParseError("duplicate generators line")
+                letters = [check_letter(t) for t in rest.split()]
+                if not letters:
+                    raise ParseError("empty generator list")
+                if len(set(letters)) != len(letters):
+                    raise ParseError("duplicate generator names")
+            elif letters is None:
+                raise ParseError("generators must be declared first")
+            elif directive == "cyclic":
+                # whitespace-separated names: the dot form of a word
+                relations.extend(expand_cyclic(_tokenize_word(".".join(rest.split()), letters)))
+            elif directive == "relation":
+                sides = rest.split("=")
+                if len(sides) < 2:
+                    raise ParseError("relation needs at least two sides")
+                words = []
+                for side in sides:
+                    if not side.strip():
+                        raise ParseError("empty relation side")
+                    words.append(tuple(_tokenize_word(side, letters)))
+                relations.extend(Relation(words[0], w) for w in words[1:])
+            else:
+                raise ParseError(f"unknown directive {directive!r}")
+        except ValueError as e:
+            raise ParseError(str(e), lineno) from None
     if letters is None:
         raise ParseError("missing generators line")
     return Presentation(tuple(letters), tuple(relations))
-
-
-def _require_known(toks: list[str], letters: Sequence[str], lineno: int) -> list[str]:
-    alphabet = set(letters)
-    for t in toks:
-        if t not in alphabet:
-            raise ParseError(f"unknown letter {t!r}", lineno)
-    return toks
 
 
 def serialize_presentation(p: Presentation) -> str:

@@ -265,7 +265,7 @@ class RewriteEngine:
     def canonicals_at(self, n: int) -> _Level:
         """The same level as partition(n).  Nothing in the package calls it: it
         stays only because bench/tracing.py wraps it, until the next change to
-        the benchmark renames that wrapper (ROADMAP item 5)."""
+        the benchmark renames that wrapper (ROADMAP item 2)."""
         return self.partition(n)
 
     def _extend(self) -> None:

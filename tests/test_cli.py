@@ -228,6 +228,28 @@ def test_claim_no_lcm_reports_the_minimal_multiples(capsys):
         ["s", "t1", "t2"], ["t1", "t2", "u1", "s"], ["t1", "t2", "u2", "s"]]
 
 
+def test_claim_center_checks_the_powers_of_delta(capsys):
+    # at 2|delta| the center holds 1, delta and delta^2
+    powers = [[], ["s", "t1", "t2", "u1", "u2"],
+              ["s", "s", "t1", "t2", "t1", "t2", "u1", "u2", "u1", "u2"]]
+    argv = ["claim", "center", "--m", "2", "--n", "2", "--max-len", "10"]
+    assert run(argv) == 0
+    assert out_lines(capsys)[1:3] == ["claim center: ok", "reproduced: true"]
+    assert run(argv + ["--json"]) == 0
+    rep = json_report(capsys)
+    claim = rep["result"]["claims"][0]
+    assert claim["central"] == claim["predicted"] == powers
+    assert rep["result"]["reproduced"] is True
+
+
+def test_claim_bounds_name_only_what_the_claim_reads(capsys):
+    # k indexes the fixture claims only; a g(m,n) claim reports its length bound
+    assert run(["claim", "no-lcm", "--k", "7", "--json"]) == 0
+    assert json_report(capsys)["bounds"] == {"cap": mk.DEFAULT_CAP, "max_len": 4}
+    assert run(["claim", "M6p", "--k", "2", "--json"]) == 0
+    assert json_report(capsys)["bounds"] == {"cap": mk.DEFAULT_CAP, "k": 2}
+
+
 def test_claim_unknown(capsys):
     assert run(["claim", "M9"]) == 2
 
@@ -286,6 +308,10 @@ def test_usage_errors(capsys):
         (["claim", "center", "--m", "1"], "the center claim needs --m >= 2 (with m = 1, t1 is central)"),
         (["claim", "center", "--m", "2", "--n", "1"],
          "the center claim needs --n >= 2 (with n = 1, u1 is central)"),
+        # a g(m,n) claim has one id, as a fixture claim has its families
+        (["claim", "M6", "--id", "bogus"], "unknown claim id for M6: bogus"),
+        (["claim", "no-lcm", "--id", "bogus", "--k", "7"], "unknown claim id for no-lcm: bogus"),
+        (["claim", "center", "--id", "cdea"], "unknown claim id for center: cdea"),
     ):
         assert run(argv) == 2
         assert capsys.readouterr().err == f"error: {message}\n"

@@ -24,8 +24,13 @@ def test_parse_signed_word(p22, m6):
     assert sw(m6, "ab~c") == (("a", 1), ("b", -1), ("c", 1))
     with pytest.raises(ValueError):
         sw(p22, "t9")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="'~' must follow a letter"):
         sw(m6, "~a")
+    # the one tokeniser of positive words, with the "~" suffix allowed
+    assert sw(p22, "s~.t1~.u2") == (("s", -1), ("t1", -1), ("u2", 1))
+    assert sw(m6, "a~b~") == (("a", -1), ("b", -1))
+    with pytest.raises(ValueError, match="'~' must follow a letter"):
+        sw(m6, "a~~")
 
 
 def test_free_reduce():

@@ -36,6 +36,12 @@ def test_parse_errors_carry_line_numbers():
         mk.parse_presentation("generators: a\nfrobnicate: a\n")
     with pytest.raises(ParseError):
         mk.parse_presentation("# only a comment\n")
+    # the signed-word suffix "~" is no part of a word in a file
+    for line in ("relation: ab~ = ba", "cyclic: a b~"):
+        with pytest.raises(ParseError, match="line 2: unknown letter"):
+            mk.parse_presentation(f"generators: a b\n{line}\n")
+    # a ParseError is a ValueError, as every refused argument is
+    assert issubclass(ParseError, ValueError)
 
 
 def test_comments_and_blank_lines_ignored():
@@ -139,3 +145,7 @@ def test_parse_word_and_format(m6, p22):
     assert mk.format_word(m6, ()) == "1"
     with pytest.raises(ParseError):
         mk.parse_word(m6, "xyz")
+    # the signed-word suffix "~" is no part of a positive word
+    for p, text in ((m6, "ab~"), (p22, "s.t1~"), (p22, "t1~")):
+        with pytest.raises(ParseError, match="unknown letter"):
+            mk.parse_word(p, text)
