@@ -53,20 +53,27 @@ class ClaimReport:
         return all(c["reproduced"] for c in self.claims)
 
 
-def check_claim(name: str, *, k: int = 1, family: str = "all", m: int = 2, n: int = 2,
+def check_claim(name: str, *, k: int | None = None, family: str = "all",
+                m: int | None = None, n: int | None = None,
                 max_len: int | None = None, cap: int = DEFAULT_CAP) -> ClaimReport:
-    """Check ``M6``, ``M6p`` or ``M6p_completed`` at index k, for the claim
-    id ``family`` or all of them, or ``no-lcm`` or ``center`` on g(m,n) up
-    to ``max_len`` (by default the least bound that decides the claim)."""
+    """Check ``M6``, ``M6p`` or ``M6p_completed`` at index k (default 1), for
+    the claim id ``family`` or all of them, or ``no-lcm`` or ``center`` on
+    g(m,n) (default g(2,2)) up to ``max_len`` (by default the least bound that
+    decides the claim); a bound that the claim does not read is refused."""
     key = name.replace("-", "_")
     if key in _FIXTURE_CLAIMS:
         ids = list(_FIXTURE_CLAIMS[key])
+        unread = {"m": m, "n": n, "max-len": max_len}
     elif key in ("no_lcm", "center"):
         ids = [key.replace("_", "-")]
+        unread = {"k": k}
     else:
         raise ValueError(f"unknown claim {name!r}")
     if family != "all" and family not in ids:
         raise ValueError(f"unknown claim id for {name}: {family}")
+    if given := [flag for flag, value in unread.items() if value is not None]:
+        raise ValueError(f"claim {name} does not read --{', --'.join(given)}")
+    k, m, n = 1 if k is None else k, 2 if m is None else m, 2 if n is None else n
     if key in _FIXTURE_CLAIMS:
         p = fixture(key)
         claims = []

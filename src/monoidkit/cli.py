@@ -128,10 +128,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("claim", "reproduce a named bundled claim (exit 1 if it fails)", _do_claim)
     sp.add_argument("name", help="M6 | M6p | M6p_completed | no-lcm | center")
     sp.add_argument("--id", default="all", help="sub-family for the k-indexed fixtures")
-    sp.add_argument("--k", type=int, default=1)
-    sp.add_argument("--m", type=int, default=2, help="for no-lcm / center")
-    sp.add_argument("--n", type=int, default=2)
-    sp.add_argument("--max-len", type=int, default=None)
+    sp.add_argument("--k", type=int, default=None, help="for the fixtures (default 1)")
+    sp.add_argument("--m", type=int, default=None, help="for no-lcm / center (default 2)")
+    sp.add_argument("--n", type=int, default=None, help="for no-lcm / center (default 2)")
+    sp.add_argument("--max-len", type=int, default=None, help="for no-lcm / center")
 
     sp = add("gmn", "build the g(m,n) presentation; emit it or run a subcommand on it",
              _do_gmn)

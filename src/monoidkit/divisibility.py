@@ -2,16 +2,18 @@
 
 u left-divides v when v = u*w for some w in the monoid.  Because the literal
 concatenation u*w lies in the class of v whenever the equation holds, the
-point test is a prefix scan over the class of v: sound and complete.  The
-quotients found form a union of classes (if a*q lies in the class of v and q
-equals q', so does a*q'), so ``RewriteEngine.least_words`` reads their
-canonical forms off them in one pass: a division test closes over and caches
-the class of v only, and ``cap`` bounds that closure alone.  In a
-presentation flagged ``cancellative=True`` (the built g(m,n) family) a*q = a*q'
-forces q = q', so the quotients are a single class and their least word is
-its canonical form, with no union-find; a file copy of the same presentation
-carries no flag and takes the union-find pass.  Common
-multiples are whole-level questions and read the graded class tables instead:
+point test is a prefix scan over the class of v: sound and complete.  That
+scan is ``RewriteEngine.quotients``, the one division path of the package
+(the group words divide their residuals through it too).  The quotients
+found form a union of classes (if a*q lies in the class of v and q equals
+q', so does a*q'), so ``RewriteEngine.least_words`` reads their canonical
+forms off them in one pass: a division test closes over and caches the class
+of v only, and ``cap`` bounds that closure alone.  In a presentation
+flagged ``cancellative=True`` (the built g(m,n) family) a*q = a*q' forces
+q = q', so the quotients are a single class and their least word is its
+canonical form, with no union-find; a file copy of the same presentation
+carries no flag and takes the union-find pass.  Common multiples are
+whole-level questions and read the graded class tables instead:
 u left-divides a length-n class exactly when that class is the class of u*z
 for some length-(n - |u|) class z, and ``RewriteEngine.left_levels`` lists
 those length by length, each level one table lookup per class from the one
@@ -57,14 +59,7 @@ class McmReport:
 def _divides(u: Word, v: Word, p: Presentation, cap: int, side: str) -> DivisionResult:
     _require_homogeneous(p)
     eng = engine(p)
-    a, b = eng.encode(u), eng.encode(v)
-    if len(a) > len(b):
-        return DivisionResult(False, frozenset())
-    cls = eng.closure(b, cap)
-    if side == "left":
-        quots = {m[len(a):] for m in cls if m.startswith(a)}
-    else:
-        quots = {m[:len(b) - len(a)] for m in cls if m.endswith(a)}
+    quots = eng.quotients(eng.encode(v), eng.encode(u), side, cap)
     if p.cancellative is True:
         # u*w = u*w' (or w*u = w'*u) forces w = w', so the quotients are one
         # class, and all of it: every w' equal to a quotient w has u*w' in the

@@ -32,25 +32,17 @@ class GmnContext:
     delta2: Word  # s u1..un
     delta: Word  # s t1..tm u1..un
 
+    def family(self, f: int) -> Word:
+        """The letters t1..tm of delta1 (f = 1) or u1..un of delta2 (else)."""
+        return (self.delta1 if f == 1 else self.delta2)[1:]
+
     @property
     def t_letters(self) -> tuple[str, ...]:
-        return self.presentation.letters[1 : self.m + 1]
+        return self.family(1)
 
     @property
     def u_letters(self) -> tuple[str, ...]:
-        return self.presentation.letters[self.m + 1 :]
-
-    def family_of(self, letter: str) -> tuple[str, int]:
-        """("s", 0), ("t", i) or ("u", j) for a generator name."""
-        if letter == "s":
-            return ("s", 0)
-        fam, idx = letter[0], letter[1:]
-        if fam in ("t", "u") and idx.isdigit():
-            i = int(idx)
-            bound = self.m if fam == "t" else self.n
-            if 1 <= i <= bound:
-                return (fam, i)
-        raise ValueError(f"{letter!r} is not a generator of g({self.m},{self.n})")
+        return self.family(2)
 
 
 def build_gmn(m: int, n: int) -> GmnContext:
@@ -80,12 +72,14 @@ def build_gmn(m: int, n: int) -> GmnContext:
 # one-family words and consecutive runs
 
 
-def _family_indices(ctx: GmnContext, w: Word) -> tuple[str, list[int]]:
-    fams = {ctx.family_of(x)[0] for x in w}
-    if not fams <= {"t"} and not fams <= {"u"}:
-        raise ValueError(f"{w!r} mixes letter families")
-    fam = fams.pop() if fams else ""
-    return fam, [ctx.family_of(x)[1] for x in w]
+def _family_indices(ctx: GmnContext, w: Word) -> tuple[int, list[int]]:
+    """The family (1 or 2) of a one-family word, 1 for the empty word, and
+    the position of each of its letters in that family."""
+    for f in (1, 2):
+        letters = ctx.family(f)
+        if set(w) <= set(letters):
+            return f, list(map(letters.index, w))
+    raise ValueError(f"{w!r} mixes letter families")
 
 
 def split_tail_run(ctx: GmnContext, w: Word) -> tuple[Word, Word]:
@@ -113,19 +107,15 @@ def delta_quotient(ctx: GmnContext, family: int, w: Word) -> Word:
     """
     if family not in (1, 2):
         raise ValueError("family must be 1 or 2")
-    fam_name = "t" if family == 1 else "u"
-    size = ctx.m if family == 1 else ctx.n
-    full = tuple(f"{fam_name}{i}" for i in range(1, size + 1))
+    full, s = ctx.family(family), ctx.delta[:1]
     if not w:
-        return ("s",) + full
-    if w == ("s",):
+        return s + full
+    if w == s:
         return full
     fam, idx = _family_indices(ctx, w)
-    if fam != fam_name or idx != list(range(idx[0], idx[0] + len(idx))):
-        raise ValueError(f"{w!r} is not a consecutive {fam_name!r}-run, 's', or empty")
-    after = tuple(f"{fam_name}{i}" for i in range(idx[-1] + 1, size + 1))
-    before = tuple(f"{fam_name}{i}" for i in range(1, idx[0]))
-    return after + ("s",) + before
+    if fam != family or idx != list(range(idx[0], idx[0] + len(idx))):
+        raise ValueError(f"{w!r} is not a consecutive run of {full!r}, {s!r}, or empty")
+    return full[idx[-1] + 1:] + s + full[:idx[0]]
 
 
 def in_rm(ctx: GmnContext, w: Word, family: int) -> bool:
@@ -135,13 +125,10 @@ def in_rm(ctx: GmnContext, w: Word, family: int) -> bool:
     check against t1..tm (family 1) or u1..un (family 2).  The empty word is
     a member.
     """
-    fam_name = "t" if family == 1 else "u"
-    fam, _ = _family_indices(ctx, w)
-    if w and fam != fam_name:
-        raise ValueError(f"{w!r} is not a {fam_name!r}-word")
-    size = ctx.m if family == 1 else ctx.n
-    full = tuple(f"{fam_name}{i}" for i in range(1, size + 1))
-    return w[len(w) - size :] != full
+    full = ctx.family(family)
+    if not set(w) <= set(full):
+        raise ValueError(f"{w!r} is not a word over {full!r}")
+    return w[len(w) - len(full) :] != full
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +206,7 @@ def check_division_law(
             def witnesses(ti, uj, xlen):
                 return [(uj, ti)]
         elif case in ("iii", "iv"):
-            heads = [eng.encode(("s",))], _words(fam, 1, max_len)
+            heads = [eng.encode(ctx.delta[:1])], _words(fam, 1, max_len)
 
             def witnesses(s, w, xlen):
                 rest, quot = split(w)
@@ -244,8 +231,7 @@ def check_division_law(
 
 
 def _fam_chars(ctx: GmnContext, eng, family: int) -> tuple[str, ...]:
-    letters = ctx.t_letters if family == 1 else ctx.u_letters
-    return tuple(eng.encode((x,)) for x in letters)
+    return tuple(eng.encode(ctx.family(family)))
 
 
 def _words(letters: tuple[str, ...], lo: int, hi: int) -> list[str]:

@@ -6,19 +6,21 @@ x * delta = delta * sigma(x) for every letter x, so a positive word crosses
 delta as w * delta = delta * sigma(w), letter by letter; and every inverse
 letter is a~ = D_a * delta~, so w * a~ = delta~ * sigma^-1(w * D_a).
 
-``group_equal`` keeps a word as delta^j * r with r positive, built in
-one left-to-right pass over its free reduction.  A positive letter goes onto
-the end of r; when the last |delta| letters of r are a member of delta's
-class they are dropped, sigma is applied to the rest and j goes up by one.
-An inverse letter a~ first moves every delta that left-divides r into j, then
-cancels against a member of r's class that ends in a letter of a's class, or
-failing that makes r = sigma^-1(r * D_a) and lowers j by one.  Two words are
-compared by a homomorphic image first (their length, or their letter counts
-when every relation permutes its letters), then the residual with the lower
-power is divided by delta until the powers agree, then the residuals are
-compared in the monoid.  No closure sees a padded lift: only delta and
-residuals are closed over.  This is the delta-factorisation of Garside
-theory (Dehornoy et al., Foundations of Garside Theory, 2015) with only the
+``group_equal`` keeps a word as delta^j * r with r positive, built in one
+left-to-right pass over its free reduction.  A positive letter goes onto the
+end of r; when the last |delta| letters of r are a member of delta's class
+they are dropped, sigma is applied to the rest and j goes up by one.  An
+inverse letter a~ first moves every delta that left-divides r into j, then
+divides r on the right by a (by the atom of a's class, which the certificate
+lists), or failing that makes r = sigma^-1(r * D_a) and lowers j by one.  Two
+words are compared by a homomorphic image first (their length, or their
+letter counts when every relation permutes its letters); then, if the powers
+differ by i, the residual with the higher power is looked up among the
+quotients of the other by delta^i, else the residuals are compared in the
+monoid.  Every division is one ``RewriteEngine.quotients`` call, read off the
+closure of the residual, and no closure sees a padded lift: only delta and
+residuals are closed over.  This is the delta-factorisation of Garside theory
+(Dehornoy et al., Foundations of Garside Theory, 2015) with only the
 quotients and sigma of the certificate, never lcms or a greedy normal form,
 since the monoids at hand need not have lcms.
 
@@ -43,7 +45,7 @@ SignedWord = tuple[tuple[str, int], ...]
 
 def parse_signed_word(p: Presentation, text: str) -> SignedWord:
     """A word whose tokens may end in ``~``, an inverse letter."""
-    return tuple((t[:-1], -1) if t.endswith("~") else (t, 1)
+    return tuple((t[:-1], -1) if "~" in t else (t, 1)  # no name has a "~"
                  for t in _tokenize_word(text, p.index, inverses=True))
 
 
@@ -97,27 +99,17 @@ class _DeltaForms:
                     j += 1
                 continue
             reduced = True
-            while (rest := self.divide(r)) is not None:
-                r, j = rest, j + 1
+            while quots := eng.quotients(r, self.delta, "left", self.cap):
+                r, j = min(quots), j + 1
             a = atom[c]
-            ends = [m[:-1] for m in eng.closure(r, self.cap) if m and atom[m[-1]] == a]
-            if ends:
-                r = min(ends)
+            if quots := eng.quotients(r, a, "right", self.cap):
+                r = min(quots)
             else:
                 # a~ = D_a * delta~ and w * delta~ = delta~ * sigma^-1(w); no
                 # delta divides the result, or a would right-divide r
                 r = (r + self.quotient[a]).translate(self.sigma_inv)
                 j -= 1
         return j, r, reduced
-
-    def divide(self, r: str) -> str | None:
-        """The least r' with r = delta * r', or None if delta does not
-        left-divide r."""
-        n = len(self.delta)
-        if len(r) < n:
-            return None
-        cls = self.eng.closure(r, self.cap)
-        return min((m[n:] for m in cls if m[:n] in self.delta_class), default=None)
 
     def weight(self, j: int, r: str):
         """Image of delta^j * r under a homomorphism of the group: the letter
@@ -131,12 +123,10 @@ class _DeltaForms:
         if self.weight(j1, r1) != self.weight(j2, r2) or reduced and j1 < j2:
             return False
         # delta^j1 * r1 = delta^j2 * r2 iff r1 = delta^(j2 - j1) * r2, in the
-        # monoid as well since it embeds; left cancellation then makes any
-        # remainder of r1 by delta as good as the least
-        for _ in range(j2 - j1):
-            r1 = self.divide(r1)
-            if r1 is None:
-                return False
+        # monoid as well since it embeds: iff r2 is a quotient of r1 by
+        # delta^(j2 - j1)
+        if j1 < j2:
+            return r2 in self.eng.quotients(r1, self.delta * (j2 - j1), "left", self.cap)
         return self.eng.equal_raw(r1, r2, self.cap)
 
 

@@ -14,15 +14,17 @@ C speed and the lexicographic minimum of a class doubles as its canonical
 representative.
 
 Point queries (equality, canonical forms, divisibility) close over one class
-breadth-first.  Each BFS level is scanned as one string, its words joined by
-a separator letter that no rule contains, so every rule costs one ``find``
-loop per level rather than one per member; homogeneity puts every member at
-the seed's length, so the position of a hit gives the word it lies in.  A
-complete class is cached per engine under each of its members, together with
-its least word, so a canonical form read from the cache costs O(1).  A union
-of classes of one length already in hand, such as the quotients of a
-division or the prefixes of a class, gives the least word of each of its
-classes in one union-find pass over its joined words (``least_words``).
+breadth-first; a division reads its quotients off the dividend's class
+(``quotients``).  Each BFS level is scanned as one string, its words joined
+by a separator letter that no rule contains, so every rule costs one
+``find`` loop per level rather than one per member; homogeneity puts every
+member at the seed's length, so the position of a hit gives the word it lies
+in.  A complete class is cached per engine under each of its members,
+together with its least word, so a canonical form read from the cache costs
+O(1).  A union of classes of one length already in hand, such as the
+quotients of a division or the prefixes of a class, gives the least word of
+each of its classes in one union-find pass over its joined words
+(``least_words``).
 
 Whole-length enumeration instead builds graded class tables, level by level
 as in the right Cayley graph construction of Froidure and Pin (1997): a class
@@ -251,6 +253,18 @@ class RewriteEngine:
             return False
         return self.closure_search(a, b, cap)
 
+    def quotients(self, v: str, u: str, side: str, cap: int = DEFAULT_CAP) -> set[str]:
+        """The words q with v = u*q (side "left") or v = q*u ("right"), a
+        union of classes read off the closure of v, where the literal u*q
+        (q*u) lies whenever the equation holds; empty, with no closure, when
+        u is longer than v.  Every division in the package comes here."""
+        if len(u) > len(v):
+            return set()
+        cls = self.closure(v, cap)
+        if side == "left":
+            return {m[len(u):] for m in cls if m.startswith(u)}
+        return {m[:len(v) - len(u)] for m in cls if m.endswith(u)}
+
     # -- graded class tables --------------------------------------------------
 
     def partition(self, n: int) -> _Level:
@@ -398,9 +412,7 @@ class _Level(Sequence):
     def __len__(self) -> int:
         return len(self.first)
 
-    def __getitem__(self, c: int | slice) -> str | tuple[str, ...]:
-        if isinstance(c, slice):
-            return tuple(self[x] for x in range(len(self.first))[c])
+    def __getitem__(self, c: int) -> str:
         if not 0 <= c < len(self.first):
             raise IndexError(c)
         letters = []
@@ -410,13 +422,6 @@ class _Level(Sequence):
             letters.append(chr(a))
             level = level.below
         return "".join(reversed(letters))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, (tuple, _Level)):
-            return NotImplemented
-        return tuple(self) == tuple(other)
-
-    __hash__ = None
 
 
 def engine(p: Presentation) -> RewriteEngine:

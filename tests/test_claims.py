@@ -54,6 +54,10 @@ def test_check_claim_without_the_cli():
     ("M6", {"family": "bogus"}, "unknown claim id for M6: bogus"),
     ("no-lcm", {"family": "bogus"}, "unknown claim id for no-lcm: bogus"),
     ("center", {"max_len": 4}, "--max-len must be at least 5 for claim center, got 4"),
+    ("M6", {"m": 3, "n": 2}, "claim M6 does not read --m, --n"),
+    ("M6p_completed", {"max_len": 6}, "claim M6p_completed does not read --max-len"),
+    ("no-lcm", {"k": 1}, "claim no-lcm does not read --k"),
+    ("center", {"k": 2, "m": 3}, "claim center does not read --k"),
 ])
 def test_check_claim_refuses_with_value_error(name, kwargs, message):
     with pytest.raises(ValueError, match=f"^{message}$"):

@@ -80,6 +80,14 @@ def test_class_members(capsys):
     assert run(["class", M6, "cdeaf"]) == 0
     out = capsys.readouterr().out
     assert "size: 15" in out and "canonical: acdef" in out
+    # past the member limit a class lists no members unless --full asks
+    word = "s.t1.t2.t3.t4.u1.u2.u3.u4"
+    assert run(["class", "gmn:4,4", word]) == 0
+    out = out_lines(capsys)
+    assert "size: 630" in out and "  (630 members; use --full to list)" in out
+    assert run(["class", "gmn:4,4", word, "--json"]) == 0
+    rep = json_report(capsys)
+    assert rep["result"]["size"] == 630 and "members" not in rep["result"]
 
 
 def test_divides(capsys):
@@ -104,6 +112,8 @@ def test_fundamental_and_garside(capsys):
     assert "fundamental: true" in capsys.readouterr().out
     assert run(["fundamental", G22, "t1"]) == 0
     assert "fundamental: false" in capsys.readouterr().out
+    assert run(["fundamental", G22, "1"]) == 0
+    assert "fundamental: false (the empty word is not fundamental)" in out_lines(capsys)
     assert run(["garside", G22, "s.t1.t2.u1.u2", "--json"]) == 0
     assert json_report(capsys)["result"]["is_garside"] is True
 
@@ -176,6 +186,9 @@ def test_group_equal(g22_file, capsys):
     assert run(["gmn", "--m", "2", "--n", "2", "--run", "group-equal",
                 "t1.t2.t1~.t2~", "1"]) == 0
     assert "result: false" in capsys.readouterr().out
+    # a --delta that is not fundamental is a precondition violation
+    assert run(["group-equal", G22, "t1", "t1", "--delta", "t1"]) == 4
+    assert capsys.readouterr().err == "error: t1 is not fundamental; pass --delta\n"
 
 
 def test_group_equal_refuses_without_injectivity(g22_file, capsys):
@@ -243,8 +256,11 @@ def test_claim_center_checks_the_powers_of_delta(capsys):
 
 
 def test_claim_bounds_name_only_what_the_claim_reads(capsys):
-    # k indexes the fixture claims only; a g(m,n) claim reports its length bound
-    assert run(["claim", "no-lcm", "--k", "7", "--json"]) == 0
+    # k indexes the fixture claims only, and a g(m,n) claim refuses it; a
+    # g(m,n) claim reports its length bound
+    assert run(["claim", "no-lcm", "--k", "7", "--json"]) == 2
+    assert json_report(capsys)["error"] == "claim no-lcm does not read --k"
+    assert run(["claim", "no-lcm", "--json"]) == 0
     assert json_report(capsys)["bounds"] == {"cap": mk.DEFAULT_CAP, "max_len": 4}
     assert run(["claim", "M6p", "--k", "2", "--json"]) == 0
     assert json_report(capsys)["bounds"] == {"cap": mk.DEFAULT_CAP, "k": 2}
@@ -271,7 +287,11 @@ def test_bare_fixture_name_as_source(capsys):
     assert "result: true" in capsys.readouterr().out
 
 
-def test_usage_errors(capsys):
+def test_usage_errors(capsys, tmp_path):
+    def source(name, text):
+        (tmp_path / name).write_text(text)
+        return str(tmp_path / name)
+
     assert run(["equal", "no/such/file", "a", "b"]) == 2
     capsys.readouterr()
     assert run(["equal", M6, "zz", "a"]) == 2
@@ -308,6 +328,19 @@ def test_usage_errors(capsys):
         (["claim", "center", "--m", "1"], "the center claim needs --m >= 2 (with m = 1, t1 is central)"),
         (["claim", "center", "--m", "2", "--n", "1"],
          "the center claim needs --n >= 2 (with n = 1, u1 is central)"),
+        (["claim", "no-lcm", "--m", "1"], "the no-lcm claim needs --m >= 2 (it compares t1 and t2)"),
+        # a claim refuses a bound that it does not read
+        (["claim", "M6", "--m", "5", "--max-len", "3"], "claim M6 does not read --m, --max-len"),
+        (["claim", "M6p", "--n", "3"], "claim M6p does not read --n"),
+        (["claim", "no-lcm", "--k", "7"], "claim no-lcm does not read --k"),
+        (["claim", "center", "--k", "1"], "claim center does not read --k"),
+        # a malformed presentation file is refused with the line at fault
+        (["parse", source("colon", "generators: a b\nrelation ab = ba\n")],
+         "line 2: expected '<directive>: ...'"),
+        (["parse", source("empty", "generators:\n")], "line 1: empty generator list"),
+        (["parse", source("twice", "generators: a a\n")], "line 1: duplicate generator names"),
+        (["parse", source("one-side", "generators: a b\nrelation: ab\n")],
+         "line 2: relation needs at least two sides"),
         # a g(m,n) claim has one id, as a fixture claim has its families
         (["claim", "M6", "--id", "bogus"], "unknown claim id for M6: bogus"),
         (["claim", "no-lcm", "--id", "bogus", "--k", "7"], "unknown claim id for no-lcm: bogus"),
