@@ -33,7 +33,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .presentation import Presentation, Relation, Word
-from .rewrite import DEFAULT_CAP, RewriteEngine, collision_groups, engine, _require_homogeneous
+from .rewrite import DEFAULT_CAP, RewriteEngine, collision_groups, engine
 
 
 @dataclass(frozen=True)
@@ -225,7 +225,6 @@ def search_failures(
     the images of one letter and length are alive at a time.  ``cap``
     bounds closures only, and this search builds none.
     """
-    _require_homogeneous(p)
     eng = engine(p)
     # one context letter per letter class: equal letters cancel identically
     letters = eng.partition(1)

@@ -118,7 +118,7 @@ def _no_lcm(ctx: GmnContext, bound: int, cap: int) -> dict:
     rep = mcm_r([("t1",), ("t2",)], p, bound, cap)
     predicted = {canonical(r + ctx.delta1, p, cap)
                  for length in range(bound - len(ctx.delta1) + 1)
-                 for r in product(ctx.u_letters, repeat=length) if in_rm(ctx, r, 2)}
+                 for r in product(ctx.family(2), repeat=length) if in_rm(ctx, r, 2)}
     return {
         "id": "no-lcm",
         "minimal": p.sorted_words(rep.minimal),

@@ -30,7 +30,7 @@ from itertools import islice
 from typing import Iterable
 
 from .presentation import Presentation, Word
-from .rewrite import DEFAULT_CAP, engine, _require_homogeneous
+from .rewrite import DEFAULT_CAP, engine
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,6 @@ class McmReport:
 
 
 def _divides(u: Word, v: Word, p: Presentation, cap: int, side: str) -> DivisionResult:
-    _require_homogeneous(p)
     eng = engine(p)
     quots = eng.quotients(eng.encode(v), eng.encode(u), side, cap)
     if p.cancellative is True:
@@ -102,7 +101,6 @@ def cm_r(J: Iterable[Word], p: Presentation, max_len: int, cap: int = DEFAULT_CA
 
     ``cap`` bounds closures only, and this scan of the class tables builds none.
     """
-    _require_homogeneous(p)
     eng = engine(p)
     return _decode(eng, _cm_raw([eng.encode(j) for j in J], eng, max_len))
 
@@ -122,7 +120,6 @@ def mcm_r(J: Iterable[Word], p: Presentation, max_len: int, cap: int = DEFAULT_C
     bound: it is the lcm up to the bound.  ``cap`` bounds closures only, and
     this scan of the class tables builds none.
     """
-    _require_homogeneous(p)
     eng = engine(p)
     cm = _cm_raw([eng.encode(j) for j in J], eng, max_len)
     minimal = cm[:1]

@@ -18,7 +18,7 @@ from functools import cache
 
 from .errors import NotFundamentalError
 from .presentation import Presentation, Word
-from .rewrite import DEFAULT_CAP, engine, _require_homogeneous
+from .rewrite import DEFAULT_CAP, engine
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,6 @@ def atoms(p: Presentation) -> frozenset[str]:
     of letters.  Each is represented by its canonical word in the length-1
     class table, the earliest letter in declaration order.
     """
-    _require_homogeneous(p)
     eng = engine(p)
     return frozenset(eng.decode(c)[0] for c in eng.partition(1))
 
@@ -76,7 +75,6 @@ def verify_fundamental(
     word is never fundamental).  With ``strict`` a NotFundamentalError names
     the first obstruction instead.
     """
-    _require_homogeneous(p)
     eng = engine(p)
     ats = sorted(atoms(p), key=p.index.__getitem__)
     if not delta:
@@ -158,7 +156,6 @@ def verify_garside(delta: Word, p: Presentation, cap: int = DEFAULT_CAP) -> Gars
     (atoms generate the monoid, so that is all generation requires);
     finiteness is automatic for homogeneous presentations.
     """
-    _require_homogeneous(p)
     eng = engine(p)
     cls = eng.closure(eng.encode(delta), cap)
     # the prefixes and suffixes of length 0 and |delta| are the empty word and

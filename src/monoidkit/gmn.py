@@ -33,16 +33,10 @@ class GmnContext:
     delta: Word  # s t1..tm u1..un
 
     def family(self, f: int) -> Word:
-        """The letters t1..tm of delta1 (f = 1) or u1..un of delta2 (else)."""
+        """The letters t1..tm of delta1 (f = 1) or u1..un of delta2 (f = 2)."""
+        if f not in (1, 2):
+            raise ValueError("family must be 1 or 2")
         return (self.delta1 if f == 1 else self.delta2)[1:]
-
-    @property
-    def t_letters(self) -> tuple[str, ...]:
-        return self.family(1)
-
-    @property
-    def u_letters(self) -> tuple[str, ...]:
-        return self.family(2)
 
 
 def build_gmn(m: int, n: int) -> GmnContext:
@@ -105,8 +99,6 @@ def delta_quotient(ctx: GmnContext, family: int, w: Word) -> Word:
     Reading the rotations of s t1..tm: the run t_i..t_j right-divides with
     quotient t_(j+1)..tm s t1..t_(i-1); the letter s with quotient t1..tm.
     """
-    if family not in (1, 2):
-        raise ValueError("family must be 1 or 2")
     full, s = ctx.family(family), ctx.delta[:1]
     if not w:
         return s + full

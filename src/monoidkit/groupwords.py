@@ -38,7 +38,7 @@ from .cancel import search_failures
 from .errors import InjectivityNotEstablishedError
 from .garside import FundamentalCertificate
 from .presentation import Presentation, Word, _tokenize_word
-from .rewrite import DEFAULT_CAP, engine, _require_homogeneous
+from .rewrite import DEFAULT_CAP, RewriteEngine, engine
 
 SignedWord = tuple[tuple[str, int], ...]
 
@@ -64,16 +64,16 @@ class _DeltaForms:
     """Signed words as delta^j * r, r a positive char string (see the module
     docstring).  Closures are taken of delta and of residuals r only."""
 
-    def __init__(self, p: Presentation, cert: FundamentalCertificate, cap: int):
-        eng = engine(p)
+    def __init__(self, eng: RewriteEngine, cert: FundamentalCertificate, cap: int):
+        letters = eng.presentation.letters
         self.eng, self.cap = eng, cap
         self.delta = eng.encode(cert.delta)
         self.delta_class = eng.closure(self.delta, cap)
-        enc = {x: eng.encode((x,)) for x in p.letters}
+        enc = {x: eng.encode((x,)) for x in letters}
         # each letter's certificate atom: the atom in the letter's class
         by_class = {eng.class_of(enc[a]): a for a in cert.quotients}
         atom = {}
-        for x in p.letters:
+        for x in letters:
             if (a := by_class.get(eng.class_of(enc[x]))) is None:
                 raise ValueError(f"letter {x!r} has no atom representative in the certificate")
             atom[x] = a
@@ -151,7 +151,7 @@ def group_equal(
     the residuals r of the delta^j * r forms, never of a padded lift: padding
     both words with powers of delta costs none.
     """
-    _require_homogeneous(p)
+    eng = engine(p)  # refuses a non-homogeneous presentation first
     if p.cancellative is not True and not assume_injective:
         if verify_cancellative_to is None:
             raise InjectivityNotEstablishedError(
@@ -169,7 +169,7 @@ def group_equal(
                 f"no cancellation failure up to length {verify_cancellative_to}, but "
                 "the presentation is flagged non-cancellative; the monoid does not embed"
             )
-    return _DeltaForms(p, cert, cap).equal(w1, w2)
+    return _DeltaForms(eng, cert, cap).equal(w1, w2)
 
 
 def center_scan(p: Presentation, max_len: int) -> frozenset[Word]:
@@ -182,7 +182,6 @@ def center_scan(p: Presentation, max_len: int) -> frozenset[Word]:
     from length to length, and only the central classes are decoded into
     words.
     """
-    _require_homogeneous(p)
     eng = engine(p)
     ids = [range(len(eng.partition(n))) for n in range(max_len + 1)]
     for g in eng.chars:

@@ -6,7 +6,9 @@ For a homogeneous (length-preserving) presentation every class is finite, so
 the class of a word can be enumerated outright by breadth-first closure and
 equality decided by membership.  That brute-force route is the point: the
 presentations this package targets are not confluent and admit no completed
-rewriting system, so there is no normal form to reduce to.
+rewriting system, so there is no normal form to reduce to.  Every operation
+of the package reaches its classes through ``engine(p)``, and the engine
+refuses any other presentation when it is built (NonHomogeneousError).
 
 Internally words are encoded as strings over chr(0..n-1) with character order
 matching alphabet declaration order; substring search and slicing then run at
@@ -96,10 +98,15 @@ class RewriteEngine:
     """Char-encoded rewriting core for one presentation.
 
     Not part of the public API, but shared by the sibling modules; obtain one
-    with :func:`engine`.
+    with :func:`engine`.  The one homogeneity check of the package: no engine
+    is built for a presentation that is not length-preserving.
     """
 
     def __init__(self, p: Presentation):
+        if not p.homogeneous:
+            raise NonHomogeneousError(
+                "presentation is not length-preserving; classes may be infinite"
+            )
         self.presentation = p
         self.chars = [chr(i) for i in range(len(p.letters))]
         self.separator = chr(len(p.letters))  # joins the words of a BFS level
@@ -149,13 +156,11 @@ class RewriteEngine:
         return self._store(self._bfs(w, cap))
 
     def closure_search(self, start: str, target: str, cap: int = DEFAULT_CAP) -> bool:
-        """Is ``target`` reachable from ``start``?  Early exit on success.
+        """Is ``target`` reachable from ``start`` (a different word)?  Early exit on success.
 
         A completed unsuccessful search caches the full class as a side
         effect; a successful one caches nothing (the set is partial).
         """
-        if start == target:
-            return True
         seen = self._bfs(start, cap, target)
         if seen is not None:
             self._store(seen)
@@ -271,7 +276,6 @@ class RewriteEngine:
         """Build the class tables up to length n; the length-n classes as a
         sequence of their canonical words, indexed by class id (so in
         increasing order).  The same object is returned on every call."""
-        _require_homogeneous(self.presentation)
         while len(self._levels) <= n:
             self._extend()
         return self._levels[n]
@@ -425,7 +429,8 @@ class _Level(Sequence):
 
 
 def engine(p: Presentation) -> RewriteEngine:
-    """The cached rewriting engine of a presentation instance."""
+    """The cached rewriting engine of a presentation instance; a refused
+    (non-homogeneous) presentation caches none and is refused on every call."""
     eng = p.__dict__.get("_engine")
     if eng is None:
         eng = RewriteEngine(p)
@@ -433,19 +438,13 @@ def engine(p: Presentation) -> RewriteEngine:
     return eng
 
 
-def _require_homogeneous(p: Presentation) -> None:
-    if not p.homogeneous:
-        raise NonHomogeneousError(
-            "presentation is not length-preserving; classes may be infinite"
-        )
-
-
 # ---------------------------------------------------------------------------
 # public operations
 
 
 def neighbors(w: Word, p: Presentation) -> set[Word]:
-    """All words one substitution away from ``w`` (either direction, any spot)."""
+    """All words one substitution away from ``w`` (either direction, any spot);
+    like every operation, refused for a non-homogeneous presentation."""
     eng = engine(p)
     return {eng.decode(v) for v in eng.successors(eng.encode(w))}
 
@@ -456,7 +455,6 @@ def equivalence_class(w: Word, p: Presentation, cap: int = DEFAULT_CAP) -> Equiv
     Raises CapExceededError carrying the truncated partial class if more than
     ``cap`` members are found.
     """
-    _require_homogeneous(p)
     eng = engine(p)
     s = eng.encode(w)
     try:
@@ -471,13 +469,11 @@ def equivalence_class(w: Word, p: Presentation, cap: int = DEFAULT_CAP) -> Equiv
 
 def equal(u: Word, v: Word, p: Presentation, cap: int = DEFAULT_CAP) -> bool:
     """Monoid equality; CapExceededError means undecided, never False."""
-    _require_homogeneous(p)
     eng = engine(p)
     return eng.equal_raw(eng.encode(u), eng.encode(v), cap)
 
 
 def canonical(w: Word, p: Presentation, cap: int = DEFAULT_CAP) -> Word:
     """Lexicographically least member of the class of ``w``."""
-    _require_homogeneous(p)
     eng = engine(p)
     return eng.decode(eng.closure(eng.encode(w), cap).least)

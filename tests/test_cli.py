@@ -428,6 +428,48 @@ def test_non_homogeneous_exit_code(tmp_path, capsys):
     assert run(["class", str(f), "a"]) == 4
 
 
+NON_HOMOGENEOUS = [
+    ["class", "a"],
+    ["equal", "a", "aa"],
+    ["divides", "a", "aa", "--side", "left"],
+    ["divides", "a", "aa", "--side", "right"],
+    ["mcm", "a", "--max-len", "2"],
+    ["fundamental", "a"],
+    ["garside", "a"],
+    ["cancel-search", "--max-len", "2"],
+    ["group-equal", "a", "a"],
+    ["group-equal", "a", "a", "--assume-injective"],
+    ["center-scan", "--max-len", "2"],
+]
+
+
+@pytest.mark.parametrize("command", NON_HOMOGENEOUS, ids=" ".join)
+def test_non_homogeneous_refused_by_every_command(command, tmp_path, capsys):
+    f = tmp_path / "bad"
+    f.write_text("generators: a\nrelation: a = aa\n")
+    argv = [command[0], str(f), *command[1:]]
+    message = "presentation is not length-preserving; classes may be infinite"
+    assert run(argv) == 4
+    assert capsys.readouterr().err.splitlines()[0] == f"error: {message}"
+    assert run(argv + ["--json"]) == 4
+    rep = json_report(capsys)
+    assert (rep["error"], rep["exit_code"]) == (message, 4)
+
+
+@pytest.mark.parametrize("text, reason, atom", [
+    ("generators: a b\n", "no letter completes a quotient of atom 'a'", "a"),
+    ("generators: a b\nrelation: ab = bb\n", "no atom permutation fits the quotients", None),
+])
+def test_fundamental_false_names_the_obstruction(text, reason, atom, tmp_path, capsys):
+    f = tmp_path / "p"
+    f.write_text(text)
+    assert run(["fundamental", str(f), "ab"]) == 0
+    assert f"fundamental: false ({reason})" in out_lines(capsys)
+    assert run(["fundamental", str(f), "ab", "--json"]) == 0
+    rep = json_report(capsys)["result"]
+    assert rep == {"fundamental": False, "reason": reason, "atom": atom}
+
+
 def test_cli_matches_library(capsys):
     m6 = mk.fixture("M6")
     lib = mk.equal(tuple("cdeaf"), tuple("ceafd"), m6)

@@ -178,7 +178,7 @@ def test_mcm_r_no_lcm_at_paper_scale(m, n, max_len, minimal, common):
     predicted = {
         mk.canonical(w + ctx.delta1, p)
         for k in range(max_len - len(ctx.delta1) + 1)
-        for w in product(ctx.u_letters, repeat=k)
+        for w in product(ctx.family(2), repeat=k)
         if mk.in_rm(ctx, w, 2)
     }
     assert rep.minimal == predicted

@@ -39,6 +39,20 @@ def test_fundamental_rejects_single_letter(p22):
     assert info.value.atom == "s"
 
 
+@pytest.mark.parametrize("text, reason, atom", [
+    # ab has the one quotient b of a, and no letter x gives b*x = ab
+    ("generators: a b\n", "no letter completes a quotient of atom 'a'", "a"),
+    # both atoms complete their quotient b only with b
+    ("generators: a b\nrelation: ab = bb\n", "no atom permutation fits the quotients", None),
+])
+def test_fundamental_refusal_reasons(text, reason, atom):
+    p = mk.parse_presentation(text)
+    assert mk.verify_fundamental(W("ab"), p) is None
+    with pytest.raises(NotFundamentalError, match=f"^{reason}$") as info:
+        mk.verify_fundamental(W("ab"), p, strict=True)
+    assert info.value.atom == atom
+
+
 def test_fundamental_rejects_empty(p22):
     assert mk.verify_fundamental((), p22) is None
 

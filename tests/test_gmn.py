@@ -51,7 +51,7 @@ def test_tail_run(g22):
 
 def test_tail_run_reassembles(g22, rng):
     for _ in range(100):
-        fam = rng.choice([g22.t_letters, g22.u_letters])
+        fam = rng.choice([g22.family(1), g22.family(2)])
         w = tuple(rng.choice(fam) for _ in range(rng.randint(0, 6)))
         rest, run = mk.split_tail_run(g22, w)
         assert rest + run == w
@@ -98,6 +98,18 @@ def test_in_rm(g22):
         mk.in_rm(g22, ("t1",), 2)
 
 
+@pytest.mark.parametrize("call", [
+    lambda ctx: mk.in_rm(ctx, ("u1", "u2"), 0),
+    lambda ctx: mk.in_rm(ctx, ("u1", "u2"), 3),
+    lambda ctx: mk.delta_quotient(ctx, 3, ()),
+    lambda ctx: ctx.family(0),
+])
+def test_family_refuses_other_numbers(g22, call):
+    # only 1 (t1..tm) and 2 (u1..un) name a family; no number falls back to one
+    with pytest.raises(ValueError, match="family must be 1 or 2"):
+        call(g22)
+
+
 # the anti-automorphism that the symmetry finder recovers on g(2,2)
 @pytest.fixture(scope="module")
 def anti(p22):
@@ -124,7 +136,7 @@ def test_anti_involution_preserves_relations(g22, anti):
     # so build the full rotation closure and check membership there
     p = g22.presentation
     closure = set(p.relations)
-    for head in (("s",) + g22.t_letters, ("s",) + g22.u_letters):
+    for head in (("s",) + g22.family(1), ("s",) + g22.family(2)):
         rots = [head[j:] + head[:j] for j in range(len(head))]
         closure.update(
             mk.Relation(a, b) for a in rots for b in rots if a != b

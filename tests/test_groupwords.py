@@ -138,6 +138,16 @@ def test_group_equal_refuses_flagged_presentation(m6, m6pc):
         mk.group_equal(w, w, m6pc, cert, verify_cancellative_to=6)
 
 
+def test_group_equal_needs_an_atom_for_every_letter(free2):
+    # a certificate of delta = a in the free monoid on a alone says nothing
+    # of the letter b
+    cert = mk.verify_fundamental(("a",), mk.Presentation(("a",), ()))
+    w = (("a", 1),)
+    message = "^letter 'b' has no atom representative in the certificate$"
+    with pytest.raises(ValueError, match=message):
+        mk.group_equal(w, w, free2, cert, assume_injective=True)
+
+
 def test_group_equal_empirical_route(free2):
     # free monoids have no failures; the empirical route accepts them
     cert = mk.verify_fundamental(("a", "b"), free2)

@@ -98,6 +98,48 @@ def test_non_homogeneous_rejected():
         mk.equal(("a",), ("a", "a"), p)
 
 
+NON_HOMOGENEOUS = "generators: a\nrelation: a = aa\n"
+REFUSAL = "presentation is not length-preserving; classes may be infinite"
+# a made-up certificate: the gate must refuse before anything reads it
+CERT = mk.FundamentalCertificate(("a",), {"a": "a"}, {"a": ()}, 1)
+GATED = {
+    "RewriteEngine": lambda p: mk.rewrite.RewriteEngine(p),
+    "engine": engine,
+    "neighbors": lambda p: mk.neighbors(("a",), p),
+    "equivalence_class": lambda p: mk.equivalence_class(("a",), p),
+    "equal": lambda p: mk.equal(("a",), ("a",), p),
+    # different lengths: the length shortcut must not answer first
+    "equal-lengths": lambda p: mk.equal(("a",), ("a", "a"), p),
+    "canonical": lambda p: mk.canonical(("a",), p),
+    "left_divides": lambda p: mk.left_divides(("a",), ("a", "a"), p),
+    "right_divides": lambda p: mk.right_divides(("a",), ("a", "a"), p),
+    "cm_r": lambda p: mk.cm_r([("a",)], p, 2),
+    "mcm_r": lambda p: mk.mcm_r([("a",)], p, 2),
+    "atoms": mk.atoms,
+    "verify_fundamental": lambda p: mk.verify_fundamental(("a",), p),
+    "verify_fundamental-strict": lambda p: mk.verify_fundamental(("a",), p, strict=True),
+    "verify_fundamental-empty": lambda p: mk.verify_fundamental((), p),
+    "verify_garside": lambda p: mk.verify_garside(("a",), p),
+    "search_failures": lambda p: mk.search_failures(p, 2),
+    # the gate comes before the injectivity refusal
+    "group_equal": lambda p: mk.group_equal((("a", 1),), (("a", 1),), p, CERT),
+    "group_equal-assumed": lambda p: mk.group_equal(
+        (("a", 1),), (("a", 1),), p, CERT, assume_injective=True),
+    "group_equal-verified": lambda p: mk.group_equal(
+        (("a", 1),), (("a", 1),), p, CERT, verify_cancellative_to=2),
+    "center_scan": lambda p: mk.center_scan(p, 2),
+}
+
+
+@pytest.mark.parametrize("name", GATED)
+def test_non_homogeneous_rejected_by_every_operation(name):
+    # twice: no engine is cached for a refused presentation
+    p = mk.parse_presentation(NON_HOMOGENEOUS)
+    for _ in range(2):
+        with pytest.raises(NonHomogeneousError, match=f"^{REFUSAL}$"):
+            GATED[name](p)
+
+
 def test_cap_exceeded_carries_partial():
     # fresh presentation: a cached complete class would satisfy any cap
     p = mk.build_gmn(2, 2).presentation
