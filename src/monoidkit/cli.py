@@ -3,10 +3,11 @@
 Every subcommand prints a report echoing the invocation, the presentation
 digest, the bounds used and whether anything was truncated, so results are
 reproducible from the output alone.  ``--json`` switches to a structured
-report with words as token arrays.  ``--json`` and ``--cap`` are declared
-once and go before or after the command; each subcommand binds its handler,
-and every handler takes the parsed arguments and the loaded source (None for
-``claim`` and ``gmn``, which take none).
+report with words as token arrays, printed as one line of JSON with sorted
+keys; pipe it through ``python -m json.tool`` to read it.  ``--json`` and
+``--cap`` are declared once and go before or after the command; each
+subcommand binds its handler, and every handler takes the parsed arguments
+and the loaded source (None for ``claim`` and ``gmn``, which take none).
 
 A presentation source is a file (pipes included), a bundled fixture name or
 ``gmn:M,N`` for g(M,N).  ``gmn --m M --n N --run CMD ARGS`` is the same as
@@ -34,6 +35,7 @@ import json
 import sys
 import time
 from functools import cache
+from itertools import chain
 from pathlib import Path
 
 from .cancel import search_failures
@@ -306,12 +308,12 @@ def _do_cancel_search(args, p):
             for f in fails
         ],
     }
-    lines = [f"failures up to length {args.max_len}: {len(fails)}"]
-    lines += [
+    # lazy: a --json report never formats the failures
+    lines = chain([f"failures up to length {args.max_len}: {len(fails)}"], (
         f"  {f.side} context={format_word(p, f.context)} "
         f"x={format_word(p, f.x)} y={format_word(p, f.y)}"
         for f in fails
-    ]
+    ))
     return payload, lines, {"max_len": args.max_len}, 0, p
 
 
@@ -382,7 +384,7 @@ def _emit_report(args, argv, payload, lines, bounds, pres, elapsed_ms):
             "truncated": False,
             "elapsed_ms": elapsed_ms,
         }
-        print(json.dumps(report, indent=2, sort_keys=True))
+        _print_json(report)
     else:
         print(f"command: monoidkit {' '.join(argv)}")
         if pres is not None:
@@ -433,17 +435,22 @@ def run(argv: list[str]) -> int:
 
 def _fail(args, argv, code: int, message: str, truncated: bool = False) -> int:
     if args.json:
-        print(json.dumps({
+        _print_json({
             "command": list(argv),
             "error": message,
             "truncated": truncated,
             "exit_code": code,
-        }, indent=2, sort_keys=True))
+        })
     else:
         print(f"error: {message}", file=sys.stderr)
         if truncated:
             print("truncated: true", file=sys.stderr)
     return code
+
+
+def _print_json(obj) -> None:
+    # one line: with no indent, json.dumps keeps to its C encoder
+    print(json.dumps(obj, sort_keys=True))
 
 
 def main() -> None:

@@ -21,8 +21,9 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
+from operator import attrgetter
 from typing import Collection, Sequence
 
 from .errors import ParseError
@@ -85,7 +86,8 @@ class Presentation:
         if len(set(letters)) != len(letters):
             raise ValueError("duplicate generator names")
         alphabet = set(letters)
-        kept = sorted({r for r in self.relations if not r.trivial})
+        # the dataclass order, read as one tuple per relation
+        kept = sorted({r for r in self.relations if not r.trivial}, key=attrgetter("lhs", "rhs"))
         for r in kept:
             unknown = r.letters() - alphabet
             if unknown:
@@ -97,14 +99,19 @@ class Presentation:
     def index(self) -> dict[str, int]:
         return {x: i for i, x in enumerate(self.letters)}
 
+    @cached_property
+    def one_char_letters(self) -> bool:
+        """Every letter name is one character, so words print undotted."""
+        return all(len(x) == 1 for x in self.letters)
+
     def word_key(self, w: Word) -> tuple[int, ...]:
         """Sort key ordering words by alphabet declaration order."""
-        idx = self.index
-        return tuple(idx[x] for x in w)
+        return tuple(map(self.index.__getitem__, w))
 
     def sorted_words(self, words) -> list[Word]:
         """Words by length, then by ``word_key``: the order reports list them in."""
-        return sorted(words, key=lambda w: (len(w), self.word_key(w)))
+        pos = self.index.__getitem__
+        return sorted(words, key=lambda w: (len(w), tuple(map(pos, w))))
 
     @cached_property
     def homogeneous(self) -> bool:
@@ -176,12 +183,11 @@ def parse_word(p: Presentation, text: str) -> Word:
 def format_word(p: Presentation, w: Word) -> str:
     if not w:
         return "1"
-    if all(len(x) == 1 for x in p.letters):
-        return "".join(w)
-    return ".".join(w)
+    return ("" if p.one_char_letters else ".").join(w)
 
 
-def parse_presentation(text: str) -> Presentation:
+def parse_presentation(text: str, *, cancellative: bool | None = None) -> Presentation:
+    """The presentation a file's text declares, flagged ``cancellative``."""
     letters: list[str] | None = None
     relations: list[Relation] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -222,7 +228,7 @@ def parse_presentation(text: str) -> Presentation:
             raise ParseError(str(e), lineno) from None
     if letters is None:
         raise ParseError("missing generators line")
-    return Presentation(tuple(letters), tuple(relations))
+    return Presentation(tuple(letters), tuple(relations), cancellative)
 
 
 def serialize_presentation(p: Presentation) -> str:
@@ -280,7 +286,7 @@ def fixture(name: str) -> Presentation:
     key = name.replace("-", "_")
     if key not in _FIXTURES:
         raise ValueError(f"unknown fixture {name!r}; choose from {sorted(_FIXTURES)}")
-    return replace(parse_presentation(_FIXTURES[key]), cancellative=False)
+    return parse_presentation(_FIXTURES[key], cancellative=False)
 
 
 def fixture_names() -> tuple[str, ...]:

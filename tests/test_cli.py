@@ -26,6 +26,10 @@ def out_lines(capsys):
     return capsys.readouterr().out.splitlines()
 
 
+REPORT_KEYS = {"command", "presentation_sha", "result", "bounds", "truncated", "elapsed_ms"}
+ERROR_KEYS = {"command", "error", "truncated", "exit_code"}  # a failed run's report
+
+
 def json_report(capsys):
     return json.loads(capsys.readouterr().out)
 
@@ -50,8 +54,7 @@ def test_json_report_shape(capsys):
     rep = json_report(capsys)
     assert rep["result"] == {"equal": True}
     assert rep["truncated"] is False
-    assert set(rep) == {"command", "presentation_sha", "result", "bounds",
-                        "truncated", "elapsed_ms"}
+    assert set(rep) == REPORT_KEYS
     assert rep["command"][0] == "--json"
 
 
@@ -408,6 +411,30 @@ def test_common_flags_before_and_after_command(name, capsys):
     assert reports[0]["bounds"]["cap"] == 5000
     for rep in reports[1:]:
         assert (rep["result"], rep["bounds"]) == (reports[0]["result"], reports[0]["bounds"])
+
+
+# one report of each kind: every sourced command, a claim and one error
+# with each of the exit codes 2, 3 and 4
+ONE_LINE = {
+    **SOURCED,
+    "claim": ["claim", M6, "--k", "1"],
+    "exit-2": ["equal", M6, "a", "b", "--cap", "0"],
+    "exit-3": ["class", M6, "cdeaf", "--cap", "3"],
+    "exit-4": ["group-equal", M6, "a", "b", "--verify-to", "2"],
+}
+
+
+@pytest.mark.parametrize("name", ONE_LINE)
+def test_json_report_is_one_line(name, capsys):
+    code = run(ONE_LINE[name] + ["--json"])
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1 and out.endswith("\n")
+    rep = json.loads(out)
+    if name.startswith("exit-"):
+        assert code == rep["exit_code"] == int(name[5:])
+        assert set(rep) == ERROR_KEYS
+    else:
+        assert code == 0 and set(rep) == REPORT_KEYS
 
 
 def test_cap_exceeded_exit_code(capsys):

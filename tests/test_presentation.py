@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import monoidkit as mk
 from monoidkit import ParseError, Presentation, Relation
+from monoidkit.presentation import _FIXTURES
 
 from conftest import W
 
@@ -125,6 +127,51 @@ def test_fixture_counts(m6, m6p, m6pc):
 
 def test_fixtures_flagged_not_cancellative(m6):
     assert m6.cancellative is False
+
+
+# serialize_presentation digests; any change to parsing, relation order or
+# word formatting that moves one changes every report's presentation_sha
+DIGESTS = {
+    "M6": "ea15f2289458e658d0d30bca65ad2089f1e904503f32b7dceeada6ad70ce742c",
+    "M6p": "8e3153c5ba836346bd0e8557548b75799d233e0f2e94fb1a833d3c5b3f00eb2a",
+    "M6p_completed": "ddc9b6347e66d548f418eea7513ba0a3ff688531517d19b0b8b0be87344dcc5f",
+    "gmn:2,2": "1d255e04715156b5497db50a22142d69bfd3d657d242bcdb513398b5cf1223e4",
+    "gmn:3,2": "a9156f4cf57063bd14161e314cd8f76fc08a43d7bf0081e5c7b151f828b112bd",
+}
+
+
+@pytest.mark.parametrize("name", DIGESTS)
+def test_presentations_built_once_in_dataclass_order(name, monkeypatch):
+    checks = []
+    post_init = Presentation.__post_init__
+
+    def counting(self):
+        checks.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Presentation, "__post_init__", counting)
+    gmn = name.startswith("gmn:")
+    p = mk.build_gmn(*map(int, name[4:].split(","))).presentation if gmn else mk.fixture(name)
+    assert len(checks) == 1
+    if not gmn:
+        assert p.cancellative is False
+        assert p == mk.parse_presentation(_FIXTURES[name])
+    assert p.relations == tuple(sorted(p.relations))
+    assert mk.presentation_digest(p) == DIGESTS[name]
+
+
+G32 = mk.build_gmn(3, 2).presentation  # letter names such as t1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([mk.fixture("M6"), G32]).flatmap(lambda p: st.tuples(
+    st.just(p), st.lists(st.lists(st.sampled_from(p.letters), max_size=7).map(tuple),
+                         max_size=40))))
+def test_sorted_words_by_length_then_declaration_order(case):
+    p, words = case
+    key = lambda w: (len(w), [p.letters.index(x) for x in w])  # noqa: E731
+    assert p.sorted_words(words) == sorted(words, key=key)
+    assert [p.word_key(w) for w in words] == [tuple(key(w)[1]) for w in words]
 
 
 def test_serialize_round_trip(m6, m6p, m6pc, p22):
