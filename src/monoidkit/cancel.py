@@ -19,7 +19,11 @@ anti-automorphism carries the right failures under g to the left failures
 under phi(g).  So the search scans the right side for one context letter per
 orbit of the automorphisms it finds, maps the rest, and reads the whole left
 side off one anti-automorphism; only without one does it scan the left side,
-again one letter per orbit.  The maps are found by backtracking on the class
+again one letter per orbit.  The longest products, of length L, make up most
+of the classes, and their right failures are read for every letter at once
+off the union pass of length L, which is never numbered for it: the length-L
+classes are numbered only when the left side is scanned or a relation is L
+letters long.  The maps are found by backtracking on the class
 tables with a work cap that scales with the classes of length L; a letter
 the capped search does not reach is scanned itself, so the cap changes the
 cost, never the failures found.
@@ -29,7 +33,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import NamedTuple
 
 from .presentation import Presentation, Relation, Word
@@ -72,11 +76,17 @@ class _MapSearch:
 
     A letter's candidate images are the letters with the same signature: the
     sorted sizes of the length-2 classes of x*y, and of y*x, over all letters
-    y.  An anti-automorphism swaps the two lists.  The letters are mapped in
-    one order, always next the one that most nearly completes the relations,
-    and each relation is checked as soon as all of its letters are mapped.
-    Every product read for the signatures, image tried and relation compared
-    is one check, and ``cap`` bounds their total.
+    y.  An anti-automorphism swaps the two lists.  An automorphism also keeps
+    the pair signature read off the table at the longest relation length n,
+    when that is above 2: for letters x and y, the sorted node counts (pairs
+    of a class of length n - 1 and a letter that multiply into the class) of
+    the classes z*x*y, z over the classes of length n - 2.  It separates
+    letters whose distinguishing relations are longer than 2, so the tries
+    of maps that do not exist end early.  The letters are mapped in one
+    order, always next the one that most nearly completes the relations, and
+    each relation is checked as soon as all of its letters are mapped.  Every
+    product or pair read for the signatures, image tried and relation
+    compared is one check, and ``cap`` bounds their total.
     """
 
     def __init__(self, eng: RewriteEngine, max_len: int, cap: int):
@@ -94,6 +104,15 @@ class _MapSearch:
             for anti in (False, True)
         }
         rules = [(u, v) for u, v in eng.one_way if len(u) <= max_len]
+        n = max((len(u) for u, _ in rules), default=0)
+        if n > 2 and self.checks + k * k <= cap:
+            self.checks += k * k
+            nodes = Counter(chain.from_iterable(eng.right_multiples(y, n) for y in eng.chars))
+            pair = [[sorted(map(nodes.__getitem__, eng.right_multiples(x + y, n)))
+                     for y in eng.chars] for x in eng.chars]
+            sig = [(sorted(pair[x]), sorted(row[x] for row in pair)) for x in range(k)]
+            self.candidates[False] = [[b for b in bs if sig[b] == sig[a]]
+                                      for a, bs in enumerate(self.candidates[False])]
         uses = [set(map(ord, u + v)) for u, v in rules]
         # a relation with r letters still unmapped adds 1/r to each of them
         unmapped = [set(s) for s in uses]
@@ -171,7 +190,7 @@ def letter_symmetries(eng: RewriteEngine, max_len: int) -> LetterSymmetries:
     identity = "".join(eng.chars)
     source: list[tuple[int, str] | None] = [None] * len(letters)
     k = len(eng.chars)
-    anti, checks, cap = None, 0, len(eng.partition(max_len)) // k if k else 0
+    anti, checks, cap = None, 0, eng.class_count(max_len) // k if k else 0
     # shorter products have no failures to map.  The signatures cost k*k
     # checks, so the finder runs only when k**3 <= the classes of length
     # max_len, which also keeps its backtracking (k frames deep) far inside
@@ -220,14 +239,24 @@ def search_failures(
     compared.  Only one context letter per orbit of the letter symmetries
     up to ``max_len`` is scanned, and only its right side when there is an
     anti-automorphism (see the module docstring and ``letter_symmetries``);
-    the other groups are mapped, one ``class_of`` per member.  The left
-    images of a scanned letter are carried from each length to the next, so
-    the images of one letter and length are alive at a time.  ``cap``
-    bounds closures only, and this search builds none.
+    the other groups are mapped, one ``class_of`` per member.  The right
+    groups of the last length, products of ``max_len`` letters, come for
+    every letter from the union pass of that length (``right_groups``),
+    which also counts its classes for the finder's cap, so that length is
+    numbered only when the left side is scanned (no anti-automorphism) or a
+    relation has ``max_len`` letters.  The left images of a scanned letter
+    are carried from each length to the next, so the images of one letter
+    and length are alive at a time.  ``cap`` bounds closures only, and this
+    search builds none.
     """
     eng = engine(p)
+    if max_len < 1:
+        return []
     # one context letter per letter class: equal letters cancel identically
     letters = eng.partition(1)
+    # read before anything numbers the last length, so that its union pass,
+    # which the finder's class count and any numbering reuse, runs once
+    last = eng.right_groups(max_len)
     sym = letter_symmetries(eng, max_len)
 
     def by_orbit(scan):
@@ -239,7 +268,9 @@ def search_failures(
         return out
 
     right = by_orbit(lambda g: [collision_groups(eng.right_multiples(g, n + 1))
-                                for n in range(max_len)])
+                                for n in range(max_len - 1)])
+    for g, levels in zip(letters, right):
+        levels.append(last[ord(g)])
     if sym.anti is None:
         left = by_orbit(lambda g: [collision_groups(images)
                                    for images in eng.left_levels(g, max_len)])

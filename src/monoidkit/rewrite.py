@@ -33,11 +33,20 @@ as in the right Cayley graph construction of Froidure and Pin (1997): a class
 of length m+1 is a union-find component of the nodes (length-m class, last
 letter), and two nodes are joined only by a relation instance that ends at
 the last letter, because every other substitution stays inside the prefix
-class.  Ids come out in canonical order.  Each level keeps two ``array('i')``
-columns: the table ``T_m[c*k + a]``, the class of (class c) * (letter a), and
-the first node ``c'*k + a`` of every class, whose canonical word is that of
-c' followed by a.  A canonical word is decoded on demand by walking these
-pointers down; no level stores its words, let alone lists its |A|^n words.
+class.  A level is built in two steps: one union pass over its nodes
+(``_unite``, the only union-find loop of the tables, path halving inlined),
+then the numbering that turns the forest into a table.  Ids come out in
+canonical order.  Each level keeps two ``array('i')`` columns: the table
+``T_m[c*k + a]``, the class of (class c) * (letter a), and the first node
+``c'*k + a`` of every class, whose canonical word is that of c' followed by
+a.  A canonical word is decoded on demand by walking these pointers down; no
+level stores its words, let alone lists its |A|^n words.
+
+A level can also be used unnumbered, off its union pass alone, which the
+engine keeps until the level is numbered: ``class_count`` counts its classes
+as nodes minus merges, and ``right_groups`` reads its right collisions, since
+nodes (z, a) and (z', a) in one component are exactly z*a = z'*a.  Numbering
+such a level later starts from the same forest and gives the same ids.
 
 Whole-level images come from the same arrays.  The right images z*g of a
 level are the column ``T_n[g::k]``.  The left images follow the left Cayley
@@ -58,7 +67,7 @@ from __future__ import annotations
 from array import array
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import compress, islice
+from itertools import chain, compress, islice
 from operator import eq
 
 from .errors import CapExceededError, NonHomogeneousError
@@ -126,6 +135,8 @@ class RewriteEngine:
         # _levels[m]: the classes of length m
         self._tables: list[array] = []
         self._levels: list[_Level] = [_Level(array("i", [0]), None, len(p.letters))]
+        # (n, forest): the union pass of level n, kept until n is numbered
+        self._pending: tuple[int, tuple[array, array]] | None = None
 
     # -- encoding -----------------------------------------------------------
 
@@ -221,7 +232,7 @@ class RewriteEngine:
         """The least word of each class in ``words``, a union of classes of one
         length, in increasing order; nothing is closed over or cached.  Each
         relation instance in the union is met once, through one_way as in
-        _extend, and joins its two words under the lesser root."""
+        _unite, and joins its two words under the lesser root."""
         words = sorted(words)
         if len(words) < 2:
             return words
@@ -235,7 +246,11 @@ class RewriteEngine:
             while i >= 0:
                 x, j = divmod(i, step)
                 w = words[x]
-                x, y = _find(parent, x), _find(parent, index[w[:j] + rep + w[j + k:]])
+                y = index[w[:j] + rep + w[j + k:]]
+                while (r := parent[x]) != x:
+                    parent[x] = x = parent[r]
+                while (r := parent[y]) != y:
+                    parent[y] = y = parent[r]
                 if x < y:
                     parent[y] = x
                 elif y < x:
@@ -286,23 +301,59 @@ class RewriteEngine:
         the benchmark renames that wrapper (ROADMAP item 2)."""
         return self.partition(n)
 
-    def _extend(self) -> None:
-        m = len(self._levels) - 1
+    def _unite(self, m: int) -> tuple[array, array]:
+        """The union pass of level m+1, the one union-find loop of the tables:
+        a forest over the nodes c*k + a, (class c of length m) * letter a,
+        and the nodes linked under another root, one per merge.  A root is
+        the least node of its component, so parent[x] <= x throughout."""
         k = len(self.chars)
-        # node c * k + a stands for (class c of length m) * letter a; a root is
-        # the least node of its component, so parent[x] <= x throughout
         parent = array("i", range(len(self._levels[m]) * k))
+        linked = array("i")
+        link = linked.append
         for pat, rep in self.one_way:
             if len(pat) > m + 1:
                 continue  # only when it fits
             a, b = ord(pat[-1]), ord(rep[-1])
-            for ua, ub in zip(self.right_multiples(pat[:-1], m),
-                              self.right_multiples(rep[:-1], m)):
-                ra, rb = _find(parent, ua * k + a), _find(parent, ub * k + b)
-                if ra < rb:
-                    parent[rb] = ra
-                elif rb < ra:
-                    parent[ra] = rb
+            for x, y in zip(self.right_multiples(pat[:-1], m),
+                            self.right_multiples(rep[:-1], m)):
+                # find both roots, halving the paths on the way
+                x = x * k + a
+                while (r := parent[x]) != x:
+                    parent[x] = x = parent[r]
+                y = y * k + b
+                while (r := parent[y]) != y:
+                    parent[y] = y = parent[r]
+                if x < y:
+                    parent[y] = x
+                    link(y)
+                elif y < x:
+                    parent[x] = y
+                    link(x)
+        return parent, linked
+
+    def _forest(self, n: int) -> tuple[array, array]:
+        """The union pass of level n (n >= 1).  While level n is not numbered
+        the pass is kept on the engine, so the level that is first counted or
+        read off its forest and then numbered is united once."""
+        pending = self._pending
+        if pending is not None and pending[0] == n:
+            return pending[1]
+        self.partition(n - 1)
+        forest = self._unite(n - 1)
+        if len(self._levels) == n:
+            self._pending = n, forest
+        return forest
+
+    def _extend(self) -> None:
+        m = len(self._levels) - 1
+        k = len(self.chars)
+        pending = self._pending
+        if pending is not None and pending[0] == m + 1:
+            # a reader may still walk the kept forest, so number a copy
+            self._pending = None
+            parent = pending[1][0][:]
+        else:
+            parent = self._unite(m)[0]
         # nodes run in lex order of their words, so the root of a component is
         # its first node and carries its lex-min word, and ids come out in
         # canonical order.  Numbering the roots in order turns parent into the
@@ -319,6 +370,57 @@ class RewriteEngine:
         # table goes first, since readers size the tables by _levels
         self._tables[m:m + 1] = [parent]
         self._levels[m + 1:m + 2] = [_Level(first, self._levels[m], k)]
+
+    def class_count(self, n: int) -> int:
+        """The number of classes of length n.  A level not yet numbered is
+        counted off its union pass, as nodes minus merges, and stays
+        unnumbered."""
+        if n < len(self._levels):
+            return len(self._levels[n])
+        parent, linked = self._forest(n)
+        return len(parent) - len(linked)
+
+    def right_groups(self, n: int) -> list[list[list[int]]]:
+        """For each letter a, the groups of length-(n - 1) class ids z that
+        share the class of z*a, as ``collision_groups(right_multiples(chr(a),
+        n))`` gives them, read off the union pass of level n (n >= 1) without
+        numbering it: nodes (z, a) and (z', a) in one component are exactly
+        z*a = z'*a.
+
+        Only the merged nodes are visited.  Each root gathers the letters of
+        its component in a bit mask, kept in one array over the nodes, and a
+        letter met twice marks the component; the marked components alone
+        are then grouped by letter.  Past the mask's width letters share
+        bits, so a mark is only a candidate, and the grouping stays exact.
+        """
+        k = len(self.chars)
+        parent, linked = self._forest(n)
+        code = "B" if k <= 8 else "H" if k <= 16 else "I" if k <= 32 else "Q"
+        mask = array(code, [0]) * len(parent)
+        bits = 8 * mask.itemsize
+        marked = set()
+        for x in linked:
+            r = x
+            while (q := parent[r]) != r:
+                parent[r] = r = parent[q]
+            parent[x] = r  # every merged node now points at its root
+            seen = mask[r] or 1 << r % k % bits
+            bit = 1 << x % k % bits
+            if seen & bit:
+                marked.add(r)
+            mask[r] = seen | bit
+        del mask
+        members: dict[tuple[int, int], list[int]] = {}
+        for x in chain(marked, compress(linked, map(marked.__contains__,
+                                                    map(parent.__getitem__, linked)))):
+            members.setdefault((parent[x], x % k), []).append(x // k)
+        groups: list[list[list[int]]] = [[] for _ in range(k)]
+        for (_, a), zs in members.items():
+            if len(zs) > 1:
+                groups[a].append(sorted(zs))
+        for level in groups:
+            level.sort()
+        return groups
 
     def class_of(self, w: str) -> int:
         """Id of the class of w among the classes of its length."""
@@ -369,13 +471,6 @@ class RewriteEngine:
             column = self._tables[j][ord(ch)::k]
             images = [column[c] for c in images]
         return images
-
-
-def _find(parent: array | list[int], x: int) -> int:
-    """The root of x in a union-find forest, halving the path on the way."""
-    while parent[x] != x:
-        parent[x] = x = parent[parent[x]]
-    return x
 
 
 def collision_groups(images: Sequence[int]) -> list[list[int]]:

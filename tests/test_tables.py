@@ -5,11 +5,12 @@ import threading
 from itertools import combinations, product
 from unittest.mock import patch
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import monoidkit as mk
 from monoidkit import cancel
-from monoidkit.rewrite import collision_groups, engine
+from monoidkit.rewrite import RewriteEngine, collision_groups, engine
 
 from conftest import W, naive_left_divides, naive_partition, no_symmetries
 
@@ -220,3 +221,80 @@ def test_racing_level_builds_agree():
         sys.setswitchinterval(interval)
     assert results == [[1, 6, 30, 139, 624, 2761]] * 8
     assert len(eng.canonicals_at(6)) == 12144
+
+
+def seventy_letter_presentation():
+    """Seventy letters, past the 64 bits of a letter mask: x(i)*x(i+64) =
+    x(i+64)*x(i) joins letters that share a bit, and x(i)*x(i+3) =
+    x(i+1)*x(i+3) is a right failure."""
+    x = [f"x{i}" for i in range(70)]
+    relations = [mk.Relation((x[i], x[i + 64]), (x[i + 64], x[i])) for i in range(6)]
+    relations += [mk.Relation((x[i], x[i + 3]), (x[i + 1], x[i + 3])) for i in range(0, 60, 7)]
+    return mk.Presentation(tuple(x), tuple(relations))
+
+
+@pytest.mark.parametrize("p, max_len", [
+    (mk.fixture("M6"), 8),
+    (mk.fixture("M6p_completed"), 8),
+    (mk.build_gmn(3, 3).presentation, 6),
+    (mk.parse_presentation("generators: a b c\nrelation: ab = cb\nrelation: ba = ca\n"), 6),
+    (seventy_letter_presentation(), 3),
+])
+def test_right_groups_off_the_forest_match_the_numbered_columns(p, max_len):
+    # each length read off its union pass before it is numbered, against the
+    # sorted columns of an engine numbered to max_len
+    forest, numbered = RewriteEngine(p), RewriteEngine(p)
+    numbered.partition(max_len)
+    for n in range(1, max_len + 1):
+        groups = forest.right_groups(n)
+        assert forest.class_count(n) == len(numbered.partition(n))
+        assert groups == [collision_groups(numbered.right_multiples(g, n))
+                          for g in numbered.chars]
+        assert list(forest.partition(n)) == list(numbered.partition(n))
+
+
+@pytest.mark.parametrize("p, max_len, symmetries", [
+    (mk.fixture("M6"), 7, cancel.letter_symmetries),
+    (mk.fixture("M6p_completed"), 7, cancel.letter_symmetries),
+    (mk.build_gmn(3, 3).presentation, 6, cancel.letter_symmetries),
+    (mk.build_gmn(3, 3).presentation, 4, cancel.letter_symmetries),  # relations of 4 letters
+    (mk.fixture("M6p"), 6, no_symmetries),  # the left scan numbers the last level
+])
+def test_tables_after_a_search_match_a_fresh_engine(p, max_len, symmetries, rng):
+    with patch.object(cancel, "letter_symmetries", symmetries):
+        mk.search_failures(p, max_len)
+    eng, fresh = engine(p), RewriteEngine(p)
+    assert eng.class_count(max_len) == len(fresh.partition(max_len))
+    assert list(eng.partition(max_len)) == list(fresh.partition(max_len))
+    for _ in range(200):
+        w = "".join(rng.choice(eng.chars) for _ in range(max_len))
+        assert eng.class_of(w) == fresh.class_of(w)
+    assert [eng.class_count(n) for n in range(max_len + 2)] == \
+        [len(fresh.partition(n)) for n in range(max_len + 2)]
+
+
+def test_racing_searches_and_level_builds_agree():
+    # threads that search to a length and number it at once on one engine,
+    # all from the union pass that counting the length kept
+    p = mk.fixture("M6")
+    assert engine(p).class_count(6) == 12144
+    expected = mk.search_failures(mk.fixture("M6"), 6)
+    assert len(expected) == 86
+    canonicals = list(RewriteEngine(p).partition(6))
+    searches, levels = [], []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=lambda: searches.append(mk.search_failures(p, 6)))
+                   for _ in range(4)]
+        threads += [threading.Thread(target=lambda: levels.append(list(engine(p).partition(6))))
+                    for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert searches == [expected] * 4
+    assert levels == [canonicals] * 4
