@@ -56,7 +56,7 @@ class ClaimReport:
 def check_claim(name: str, *, k: int | None = None, family: str = "all",
                 m: int | None = None, n: int | None = None,
                 max_len: int | None = None, cap: int = DEFAULT_CAP) -> ClaimReport:
-    """Check ``M6``, ``M6p`` or ``M6p_completed`` at index k (default 1), for
+    """Check ``M6``, ``M6p`` or ``M6p_completed`` at index k >= 1 (default 1), for
     the claim id ``family`` or all of them, or ``no-lcm`` or ``center`` on
     g(m,n) (default g(2,2)) up to ``max_len`` (by default the least bound that
     decides the claim); a bound that the claim does not read is refused."""
@@ -75,6 +75,8 @@ def check_claim(name: str, *, k: int | None = None, family: str = "all",
         raise ValueError(f"claim {name} does not read --{', --'.join(given)}")
     k, m, n = 1 if k is None else k, 2 if m is None else m, 2 if n is None else n
     if key in _FIXTURE_CLAIMS:
+        if k < 1:
+            raise ValueError(f"--k must be at least 1, got {k}")
         p = fixture(key)
         claims = []
         for cid in ids if family == "all" else [family]:

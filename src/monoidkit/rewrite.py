@@ -57,9 +57,9 @@ halves of z's first node, g*z = (g*parent(z))*last(z), so
 
 one lookup per class from the images one level down.  ``left_levels`` carries
 them from length to length, and it is the only left-image path: common
-multiples, the division laws, the cancellation search and the center scan
-all read their left images one level at a time off it.  Lookups are pure and
-inserts idempotent, so concurrent readers are fine.
+multiples, the division laws and the center scan all read their left images
+one level at a time off it.  Lookups are pure and inserts idempotent, so
+concurrent readers are fine.
 """
 
 from __future__ import annotations
@@ -67,8 +67,7 @@ from __future__ import annotations
 from array import array
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import chain, compress, islice
-from operator import eq
+from itertools import chain, compress
 
 from .errors import CapExceededError, NonHomogeneousError
 from .presentation import Presentation, Word
@@ -382,10 +381,10 @@ class RewriteEngine:
 
     def right_groups(self, n: int) -> list[list[list[int]]]:
         """For each letter a, the groups of length-(n - 1) class ids z that
-        share the class of z*a, as ``collision_groups(right_multiples(chr(a),
-        n))`` gives them, read off the union pass of level n (n >= 1) without
-        numbering it: nodes (z, a) and (z', a) in one component are exactly
-        z*a = z'*a.
+        share the class of z*a, each group in increasing order and the groups
+        by their least member, read off the union pass of level n (n >= 1)
+        without numbering it: nodes (z, a) and (z', a) in one component are
+        exactly z*a = z'*a.
 
         Only the merged nodes are visited.  Each root gathers the letters of
         its component in a bit mask, kept in one array over the nodes, and a
@@ -471,25 +470,6 @@ class RewriteEngine:
             column = self._tables[j][ord(ch)::k]
             images = [column[c] for c in images]
         return images
-
-
-def collision_groups(images: Sequence[int]) -> list[list[int]]:
-    """The indices x that share their value images[x] with another index:
-    each group in increasing order, groups ordered by their least member,
-    groups of one left out.
-
-    Repeated values are found in one sorted copy, so images without a repeat,
-    the common case, return [] after one C-level sort; a right column of the
-    tables is nearly sorted already, since ids follow lex order.
-    """
-    ordered = sorted(images)
-    repeated = set(compress(ordered, map(eq, ordered, islice(ordered, 1, None))))
-    if not repeated:
-        return []
-    groups: dict[int, list[int]] = {}
-    for x in compress(range(len(images)), map(repeated.__contains__, images)):
-        groups.setdefault(images[x], []).append(x)
-    return list(groups.values())
 
 
 class _Level(Sequence):

@@ -124,11 +124,19 @@ def found_anti(p, max_len):
 
 
 def no_symmetries(eng, max_len):
-    """Stands in for ``cancel.letter_symmetries`` and finds nothing, so every
-    letter class is scanned on both sides, as the unreduced search does."""
-    identity = "".join(eng.chars)
-    return mk.cancel.LetterSymmetries(
-        tuple((c, identity) for c in range(len(eng.partition(1)))), None, 0, 0)
+    """Stands in for ``cancel.letter_symmetries`` and finds no
+    anti-automorphism, so the left side is read off the mirror's tables."""
+    return mk.cancel.LetterSymmetries(None, 0, 0)
+
+
+def collision_groups(images):
+    """The indices x that share their value images[x] with another index:
+    each group in increasing order, groups ordered by their least member,
+    groups of one left out."""
+    groups = {}
+    for x, image in enumerate(images):
+        groups.setdefault(image, []).append(x)
+    return [group for group in groups.values() if len(group) > 1]
 
 
 def random_word(rng, p, max_len, min_len=0):

@@ -31,55 +31,59 @@ def test_m6p_completed_failures_at_length_8(m6pc):
     assert mk.search_failures(m6pc, 8) == expected
 
 
-def found_symmetries(p, max_len):
-    """The finder's letter orbits, as sets of letters, and its anti-automorphism
-    as a dict of letters (or None); every reported map is checked to map its
-    orbit's first letter class onto the class it stands for."""
+def anti_map(p, max_len):
+    """The finder's anti-automorphism as a dict of letters, or None, found
+    within its cap."""
     eng = engine(p)
     sym = cancel.letter_symmetries(eng, max_len)
     assert sym.checks < sym.cap
-    letters = eng.partition(1)
-    orbits = {}
-    for c, (r, phi) in enumerate(sym.source):
-        assert eng.class_of(letters[r].translate(phi)) == c
-        orbits.setdefault(r, set()).update(eng.decode(letters[c]))
-    anti = sym.anti and dict(zip(p.letters, eng.decode(sym.anti)))
-    return {frozenset(o) for o in orbits.values()}, anti
+    return sym.anti and dict(zip(p.letters, eng.decode(sym.anti)))
 
 
 @pytest.mark.parametrize("name", ["M6", "M6p"])
 def test_symmetries_of_m6_and_m6p(name):
-    # the anti-automorphism abcdef -> edcbaf and no other symmetry
-    orbits, anti = found_symmetries(mk.fixture(name), 6)
-    assert orbits == {frozenset(x) for x in "abcdef"}
-    assert anti == dict(zip("abcdef", "edcbaf"))
+    # the anti-automorphism abcdef -> edcbaf
+    assert anti_map(mk.fixture(name), 6) == dict(zip("abcdef", "edcbaf"))
 
 
 def test_symmetries_of_m6p_completed(m6pc):
-    # the automorphisms cdefab and efabcd, and three anti-automorphisms
-    orbits, anti = found_symmetries(m6pc, 6)
-    assert orbits == {frozenset("ace"), frozenset("bdf")}
+    # one of its three anti-automorphisms
+    anti = anti_map(m6pc, 6)
     assert "".join(anti[x] for x in "abcdef") in {"afedcb", "cbafed", "edcbaf"}
 
 
 @pytest.mark.parametrize("m, n, max_len", [(2, 2, 5), (3, 2, 6), (3, 3, 6)])
 def test_symmetries_of_gmn(m, n, max_len):
-    # reverse, then t_i -> t_(m+1-i) and u_j -> u_(n+1-j); and when m = n the
-    # t <-> u swap
-    ctx = mk.build_gmn(m, n)
-    letters = ctx.presentation.letters
-    orbits, anti = found_symmetries(ctx.presentation, max_len)
-    if m == n:
-        assert orbits == {frozenset("s")} | {frozenset({f"t{i}", f"u{i}"}) for i in range(1, m + 1)}
-    else:
-        assert orbits == {frozenset({x}) for x in letters}
+    # reverse, then t_i -> t_(m+1-i) and u_j -> u_(n+1-j)
+    anti = anti_map(mk.build_gmn(m, n).presentation, max_len)
     assert anti == {"s": "s", **{f"t{i}": f"t{m + 1 - i}" for i in range(1, m + 1)},
                     **{f"u{j}": f"u{n + 1 - j}" for j in range(1, n + 1)}}
 
 
+@pytest.mark.parametrize("p, max_len", [
+    (mk.fixture("M6"), 7),
+    (mk.fixture("M6p_completed"), 8),
+    (mk.build_gmn(3, 3).presentation, 6),
+])
+def test_mirror_and_anti_paths_agree(p, max_len):
+    # the left side renamed through the anti-automorphism, and read off the
+    # mirror presentation's tables when the finder reports none
+    assert anti_map(p, max_len) is not None
+    found = mk.search_failures(p, max_len)
+    with patch.object(cancel, "letter_symmetries", no_symmetries):
+        assert mk.search_failures(p, max_len) == found
+
+
+@pytest.mark.parametrize("max_len, count", [(5, 75), (6, 231)])
+def test_presentation_without_anti_automorphism(max_len, count):
+    p = mk.parse_presentation("generators: a b c\nrelation: ab = ca\nrelation: bc = cc\n")
+    assert cancel.letter_symmetries(engine(p), max_len).anti is None
+    assert len(mk.search_failures(p, max_len)) == count
+
+
 def ten_letter_presentation():
     """Twelve random relations with sides of 2-3 letters on ten letters; seed 0
-    gives no letter symmetry and 448 failures to length 4."""
+    gives no anti-automorphism and 448 failures to length 4."""
     rng = random.Random(0)
     relations = []
     for _ in range(12):
@@ -103,8 +107,7 @@ def test_symmetry_finder_stays_within_its_cap(p, max_len):
 
 def test_ten_letter_presentation_has_no_symmetry():
     p = ten_letter_presentation()
-    orbits, anti = found_symmetries(p, 4)
-    assert orbits == {frozenset(x) for x in p.letters} and anti is None
+    assert anti_map(p, 4) is None
     assert len(mk.search_failures(p, 4)) == 448
 
 

@@ -58,6 +58,8 @@ def test_check_claim_without_the_cli():
     ("M6p_completed", {"max_len": 6}, "claim M6p_completed does not read --max-len"),
     ("no-lcm", {"k": 1}, "claim no-lcm does not read --k"),
     ("center", {"k": 2, "m": 3}, "claim center does not read --k"),
+    ("M6", {"k": 0}, "--k must be at least 1, got 0"),
+    ("M6p_completed", {"k": -1}, "--k must be at least 1, got -1"),
 ])
 def test_check_claim_refuses_with_value_error(name, kwargs, message):
     with pytest.raises(ValueError, match=f"^{message}$"):

@@ -10,9 +10,9 @@ from hypothesis import example, given, settings, strategies as st
 
 import monoidkit as mk
 from monoidkit import cancel
-from monoidkit.rewrite import RewriteEngine, collision_groups, engine
+from monoidkit.rewrite import RewriteEngine, engine
 
-from conftest import W, naive_left_divides, naive_partition, no_symmetries
+from conftest import W, collision_groups, naive_left_divides, naive_partition, no_symmetries
 
 
 @st.composite
@@ -127,11 +127,12 @@ def test_search_matches_oracle(p):
 @given(symmetric_presentations())
 @example(mk.parse_presentation("generators: a b c\nrelation: ab = ac\nrelation: ba = ca\n"))
 def test_reduced_search_matches_oracle_and_unreduced(p):
-    # to length 6 against the unreduced search, where the finder's cap leaves
-    # it room on two letters; to length 4 against the oracle
+    # to length 6 against the search that reads the left side off the
+    # mirror, where the finder's cap leaves it room on two letters; to length
+    # 4 against the oracle
     with patch.object(cancel, "letter_symmetries", no_symmetries):
-        unreduced = mk.search_failures(p, 6)
-    assert mk.search_failures(p, 6) == unreduced
+        mirrored = mk.search_failures(p, 6)
+    assert mk.search_failures(p, 6) == mirrored
     assert set(mk.search_failures(p, 4)) == oracle_failures(p, 4)
 
 
@@ -258,7 +259,7 @@ def test_right_groups_off_the_forest_match_the_numbered_columns(p, max_len):
     (mk.fixture("M6p_completed"), 7, cancel.letter_symmetries),
     (mk.build_gmn(3, 3).presentation, 6, cancel.letter_symmetries),
     (mk.build_gmn(3, 3).presentation, 4, cancel.letter_symmetries),  # relations of 4 letters
-    (mk.fixture("M6p"), 6, no_symmetries),  # the left scan numbers the last level
+    (mk.fixture("M6p"), 6, no_symmetries),  # the left side off the mirror's tables
 ])
 def test_tables_after_a_search_match_a_fresh_engine(p, max_len, symmetries, rng):
     with patch.object(cancel, "letter_symmetries", symmetries):
