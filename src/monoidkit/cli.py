@@ -19,19 +19,21 @@ The parser is built on the first run() and shared by every later one in the
 process (the re-parse of ``gmn --run`` included); each parse starts from a
 fresh namespace, so no flag carries over from one call to the next.
 
-A bound below its least value is a usage error: ``--cap`` and ``--k`` must
-be at least 1, ``--max-len`` and ``--verify-to`` at least 0.  ``claim`` only
-renders ``claims.check_claim``, and an argument that it refuses is one too.
+A bound below its least value is a usage error: ``--cap`` must be at least
+1, ``--max-len`` and ``--verify-to`` at least 0.  ``claim`` only renders
+``claims.check_claim``, the gate for ``--k``, and what it refuses is one too.
 
 Exit codes: 0 completed (boolean answers live in the payload), 1 claim ran
 but did not reproduce the expected outcome, 2 usage or parse error, 3 cap
-exceeded (undecided, never reported as false), 4 precondition violated.
+exceeded (undecided, never reported as false), 4 precondition violated, 141
+the reader closed standard output early (as ``| head`` does).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from functools import cache
@@ -64,7 +66,7 @@ from .presentation import (
 from .rewrite import DEFAULT_CAP, equal, equivalence_class
 
 _MEMBER_LIMIT = 200  # class members echoed without --full
-_LEAST = {"--cap": 1, "--max-len": 0, "--verify-to": 0, "--k": 1}  # else exit 2
+_LEAST = {"--cap": 1, "--max-len": 0, "--verify-to": 0}  # else exit 2
 
 
 @cache
@@ -454,4 +456,13 @@ def _print_json(obj) -> None:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        # the reader left early: exit as a process that SIGPIPE killed
+        # (128 + 13), not with 1 and a traceback; stdout goes to devnull so
+        # that the flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)

@@ -75,75 +75,62 @@ def verify_fundamental(
     word is never fundamental).  With ``strict`` a NotFundamentalError names
     the first obstruction instead.
     """
-    eng = engine(p)
-    ats = sorted(atoms(p), key=p.index.__getitem__)
-    if not delta:
+    try:
+        return _certificate(delta, p, cap)
+    except NotFundamentalError:
         if strict:
-            raise NotFundamentalError("the empty word is not fundamental")
+            raise
         return None
+
+
+def _certificate(delta: Word, p: Presentation, cap: int) -> FundamentalCertificate:
+    """The certificate of delta, or NotFundamentalError at its first obstruction."""
+    eng = engine(p)
+    if not delta:
+        raise NotFundamentalError("the empty word is not fundamental")
     cls = eng.closure(eng.encode(delta), cap)
+    # one encoded letter per atom class, in declaration order (see atoms())
+    ats = list(eng.partition(1))
+    names = eng.decode("".join(ats))
 
     # Q_s = {q : s*q in [delta]} and E_x = {q : q*x in [delta]} are unions of
     # classes, so the least word of Q_s & E_x is canonical: D_s if sigma(s) = x.
-    # sigma is a perfect matching of atoms to such letters x; ways(i, used)
-    # counts the matchings of atoms i.. into the letters outside ``used``,
-    # memoised over the subsets.
+    # fits(i, used) counts the matchings of atoms i.. into the letters outside
+    # ``used`` and gives the first in atom order (None if none), memoised.
     heads, tails = defaultdict(set), defaultdict(set)
     for m in cls:
         heads[m[0]].add(m[1:])
         tails[m[-1]].add(m[:-1])
-    char = {s: eng.encode((s,)) for s in ats}
-    cand: dict[str, dict[str, str]] = {}
-    for s in ats:
-        quots = heads[char[s]]
+    cand: list[dict[int, str]] = []
+    for s, a in zip(names, ats):
+        quots = heads[a]
         if not quots:
-            if strict:
-                raise NotFundamentalError(f"atom {s!r} does not left-divide", atom=s)
-            return None
-        both = {x: quots & tails[char[x]] for x in ats}
-        options = {x: min(qs) for x, qs in both.items() if qs}
+            raise NotFundamentalError(f"atom {s!r} does not left-divide", atom=s)
+        options = {j: min(qs) for j, x in enumerate(ats) if (qs := quots & tails[x])}
         if not options:
-            if strict:
-                raise NotFundamentalError(
-                    f"no letter completes a quotient of atom {s!r}", atom=s
-                )
-            return None
-        cand[s] = options
+            raise NotFundamentalError(f"no letter completes a quotient of atom {s!r}", atom=s)
+        cand.append(options)
 
     @cache
-    def ways(i: int, used: int) -> int:
+    def fits(i: int, used: int) -> tuple[int, tuple[int, ...] | None]:
         if i == len(ats):
-            return 1
-        return sum(
-            ways(i + 1, used | 1 << j)
-            for j, x in enumerate(ats)
-            if not used >> j & 1 and x in cand[ats[i]]
-        )
+            return 1, ()
+        subs = [(j, fits(i + 1, used | 1 << j)) for j in cand[i] if not used >> j & 1]
+        first = next(((j, *rest) for j, (n, rest) in subs if n), None)
+        return sum(n for _, (n, _) in subs), first
 
-    count = ways(0, 0)
-    if count == 0:
-        if strict:
-            raise NotFundamentalError("no atom permutation fits the quotients")
-        return None
-    # the first fitting target of each atom in turn: the lexicographically
-    # first sigma in atom order
-    chosen: dict[str, str] = {}
-    used = 0
-    for i, s in enumerate(ats):
-        j = next(
-            j for j, x in enumerate(ats)
-            if not used >> j & 1 and x in cand[s] and ways(i + 1, used | 1 << j)
-        )
-        chosen[s] = ats[j]
-        used |= 1 << j
+    count, first = fits(0, 0)
+    if not count:
+        raise NotFundamentalError("no atom permutation fits the quotients")
+    sigma = {s: names[j] for s, j in zip(names, first)}
     # the order of sigma: the least N >= 1 with sigma^N the identity
-    order, power = 1, chosen
-    while any(power[s] != s for s in ats):
-        order, power = order + 1, {s: chosen[power[s]] for s in ats}
+    order, power = 1, sigma
+    while any(power[s] != s for s in names):
+        order, power = order + 1, {s: sigma[power[s]] for s in names}
     return FundamentalCertificate(
         delta=tuple(delta),
-        sigma=chosen,
-        quotients={s: eng.decode(cand[s][chosen[s]]) for s in ats},
+        sigma=sigma,
+        quotients={s: eng.decode(c[j]) for s, c, j in zip(names, cand, first)},
         order=order,
         sigma_count=count,
     )

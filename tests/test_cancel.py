@@ -202,3 +202,8 @@ def test_completion_does_not_terminate(m6pc):
     rhs = W("d" + "e" * 3 + "aabce")
     assert mk.equal(lhs + W("f"), rhs + W("f"), p)
     assert not mk.equal(lhs, rhs, p)
+
+
+def test_no_failures_below_length_one(m6):
+    # every failure's products hold at least its context letter
+    assert mk.search_failures(m6, 0) == []

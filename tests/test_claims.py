@@ -64,3 +64,29 @@ def test_check_claim_without_the_cli():
 def test_check_claim_refuses_with_value_error(name, kwargs, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         mk.check_claim(name, **kwargs)
+
+
+@pytest.mark.parametrize("name, bound, ks, families", [
+    ("M6", 7, (1, 2, 3), {"cdea": ("left", "c"), "bfe": ("right", "c"), "cef": ("right", "b")}),
+    ("M6p_completed", 9, (1, 2), {"acde": ("right", "f"), "cefa": ("right", "b"),
+                                  "eabc": ("right", "d")}),
+])
+def test_cancelled_pairs_are_search_failures(name, bound, ks, families):
+    # at every k whose pair fits the bound, the cancelled pair is a failure of
+    # the search, on the side and under the letter that the claim cut off
+    # (M6p's dbcefa cancels two letters, so it has no single-letter failure)
+    p = mk.fixture(name)
+    found = {(f.side, f.context, frozenset((f.x, f.y))) for f in mk.search_failures(p, bound)}
+    for family, expected in families.items():
+        for k in ks:
+            (claim,) = mk.check_claim(name, k=k, family=family).claims
+            (lhs, rhs), (cl, cr) = claim["pair"], claim["cancelled_pair"]
+            assert len(lhs) <= bound
+            if lhs[0] == rhs[0] and (lhs[1:], rhs[1:]) == (cl, cr):
+                side, context = "left", lhs[:1]
+            else:
+                assert lhs[-1] == rhs[-1] and (lhs[:-1], rhs[:-1]) == (cl, cr)
+                side, context = "right", lhs[-1:]
+            assert (side, "".join(context)) == expected
+            pair = frozenset((mk.canonical(cl, p), mk.canonical(cr, p)))
+            assert (side, context, pair) in found

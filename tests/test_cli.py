@@ -348,6 +348,8 @@ def test_usage_errors(capsys, tmp_path):
         (["claim", "M6", "--id", "bogus"], "unknown claim id for M6: bogus"),
         (["claim", "no-lcm", "--id", "bogus", "--k", "7"], "unknown claim id for no-lcm: bogus"),
         (["claim", "center", "--id", "cdea"], "unknown claim id for center: cdea"),
+        # check_claim is the one gate for --k, so an unread --k is named as such
+        (["claim", "no-lcm", "--k", "0"], "claim no-lcm does not read --k"),
     ):
         assert run(argv) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
@@ -578,3 +580,34 @@ def test_no_state_carries_between_runs(name, capsys):
     assert [code for code, _, _ in alone] == [code for _, code in calls]
     build_parser.cache_clear()
     assert [_outcome(argv, capsys) for argv, _ in calls] == alone
+
+
+def test_cancel_search_text_report(capsys):
+    assert run(["cancel-search", M6, "--max-len", "5"]) == 0
+    lines = out_lines(capsys)
+    start = lines.index("failures up to length 5: 8")
+    assert lines[start + 1:-1] == [
+        f"  {side} context={g} x={x} y={y}"
+        for side in ("left", "right")
+        for g, x, y in (("b", "cefa", "efac"), ("c", "bfea", "feab"),
+                        ("c", "deaf", "eafd"), ("d", "cefa", "efac"))
+    ]
+
+
+def test_cancel_search_at_length_zero(capsys):
+    assert run(["cancel-search", M6, "--max-len", "0", "--json"]) == 0
+    assert json_report(capsys)["result"] == {"count": 0, "failures": []}
+
+
+def test_closed_pipe_exits_like_sigpipe():
+    # the report, about 150 KB, outgrows the pipe's buffer, so the writer
+    # is still printing when the reader closes the pipe after one line
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "monoidkit", "cancel-search", M6, "--max-len", "8"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    assert proc.stdout.readline() == f"command: monoidkit cancel-search {M6} --max-len 8\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 141
+    assert "Traceback" not in err
