@@ -29,7 +29,6 @@ the failures found.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple
 
@@ -37,8 +36,7 @@ from .presentation import Presentation, Relation, Word
 from .rewrite import DEFAULT_CAP, RewriteEngine, engine
 
 
-@dataclass(frozen=True)
-class CancellationFailure:
+class CancellationFailure(NamedTuple):
     """Witness: equal(context+x, context+y) but not equal(x, y) (side="left"),
     or the mirror with the context appended (side="right")."""
 

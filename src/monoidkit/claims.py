@@ -11,8 +11,8 @@ one-letter family's letter is central.  Refused arguments raise ValueError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 from .divisibility import mcm_r
 from .gmn import GmnContext, build_gmn, in_rm
@@ -39,8 +39,7 @@ _FIXTURE_CLAIMS = {
 }
 
 
-@dataclass(frozen=True)
-class ClaimReport:
+class ClaimReport(NamedTuple):
     """One entry per checked pair or property, each with its ``id`` and its
     own ``reproduced``; ``bounds`` holds k for the fixture claims and
     max_len for the g(m,n) ones."""

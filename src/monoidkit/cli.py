@@ -169,10 +169,13 @@ def _load(src: str) -> Presentation:
     try:
         # any readable path, pipes like /dev/stdin included
         text = Path(src).read_text(encoding="utf-8")
-    except OSError:
+    except OSError as e:
         if src in fixture_names():
             return fixture(src)
-        raise ParseError(f"no such file or fixture: {src}") from None
+        if isinstance(e, FileNotFoundError):
+            raise ParseError(f"no such file or fixture: {src}") from None
+        # a path that is there but cannot be read: a directory, no permission
+        raise ParseError(f"cannot read {src}: {e.strerror or e}") from None
     return parse_presentation(text)
 
 

@@ -25,22 +25,19 @@ reported within the bound are exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .presentation import Presentation, Word
 from .rewrite import DEFAULT_CAP, engine
 
 
-@dataclass(frozen=True)
-class DivisionResult:
+class DivisionResult(NamedTuple):
     divides: bool
     quotients: frozenset[Word]
 
 
-@dataclass(frozen=True)
-class McmReport:
+class McmReport(NamedTuple):
     """Common right multiples of a word set up to a length bound.
 
     ``minimal`` holds the members of ``common_multiples`` with no proper

@@ -13,16 +13,15 @@ closure: quotients and divisor sets are unions of classes read off it.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 from .errors import NotFundamentalError
 from .presentation import Presentation, Word
 from .rewrite import DEFAULT_CAP, engine
 
 
-@dataclass(frozen=True)
-class FundamentalCertificate:
+class FundamentalCertificate(NamedTuple):
     """Witness that ``delta`` is fundamental.
 
     ``quotients[s]`` is a canonical word with delta = s * quotients[s] and
@@ -39,8 +38,7 @@ class FundamentalCertificate:
     sigma_count: int = 1
 
 
-@dataclass(frozen=True)
-class GarsideReport:
+class GarsideReport(NamedTuple):
     left_divisors: frozenset[Word]
     right_divisors: frozenset[Word]
     coincide: bool

@@ -15,16 +15,15 @@ six division laws which together give left cancellativity.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 from .cancel import search_failures
 from .presentation import Presentation, Relation, Word, expand_cyclic
 from .rewrite import DEFAULT_CAP, engine
 
 
-@dataclass(frozen=True)
-class GmnContext:
+class GmnContext(NamedTuple):
     m: int
     n: int
     presentation: Presentation
@@ -127,15 +126,13 @@ def in_rm(ctx: GmnContext, w: Word, family: int) -> bool:
 # bounded verification of the six division laws
 
 
-@dataclass(frozen=True)
-class DivisionLawViolation:
+class DivisionLawViolation(NamedTuple):
     case: str
     lhs: Word
     rhs: Word
 
 
-@dataclass(frozen=True)
-class DivisionLawReport:
+class DivisionLawReport(NamedTuple):
     case: str
     max_len: int
     instances: int

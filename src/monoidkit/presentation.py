@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, total_ordering
 from operator import attrgetter
 from typing import Collection, Sequence
 
@@ -39,26 +38,76 @@ def check_letter(name: str) -> str:
     return name
 
 
-@dataclass(frozen=True, order=True)
-class Relation:
+class _Frozen:
+    """Base of the package's immutable value classes.
+
+    ``_fields`` are the constructor's parameters in order.  ``__init__`` sets
+    them once, past ``__setattr__``, which refuses every later assignment.
+    Equality and hashing read ``_key()``, the field values unless a subclass
+    leaves some out, and hold only between instances of one class; repr,
+    copy and pickle read all the fields.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    _key = _values
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):  # copy and pickle go through the constructor
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+@total_ordering
+class Relation(_Frozen):
     """An unordered pair of non-empty positive words declared equal.
 
     The two sides are stored in a normalized order so that Relation(u, v)
     and Relation(v, u) compare equal; sides may be identical (such pairs are
-    dropped at Presentation construction).
+    dropped at Presentation construction).  Relations order as the tuple
+    (lhs, rhs).
     """
 
+    __slots__ = _fields = ("lhs", "rhs")
     lhs: Word
     rhs: Word
 
-    def __post_init__(self):
-        lhs, rhs = tuple(self.lhs), tuple(self.rhs)
+    def __init__(self, lhs: Sequence[str], rhs: Sequence[str]):
+        lhs, rhs = tuple(lhs), tuple(rhs)
         if not lhs or not rhs:
             raise ValueError("relation sides must be non-empty")
         if (len(rhs), rhs) < (len(lhs), lhs):
             lhs, rhs = rhs, lhs
         object.__setattr__(self, "lhs", lhs)
         object.__setattr__(self, "rhs", rhs)
+
+    def _key(self) -> tuple:
+        return self.lhs, self.rhs
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() < other._key()
+        return NotImplemented
 
     @property
     def trivial(self) -> bool:
@@ -68,32 +117,36 @@ class Relation:
         return set(self.lhs) | set(self.rhs)
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(_Frozen):
     """A finite alphabet with relations, plus derived classification flags.
 
     ``cancellative`` is bookkeeping, not derived data: True means proven
     cancellative (the built g(m,n) family), False means known not to be, None
-    means unknown.  It is excluded from equality.
+    means unknown.  It is excluded from equality and hashing.  The instance
+    ``__dict__`` holds the fields, the lazily computed flags and the engine.
     """
 
+    _fields = ("letters", "relations", "cancellative")
     letters: tuple[str, ...]
     relations: tuple[Relation, ...]
-    cancellative: bool | None = field(default=None, compare=False)
+    cancellative: bool | None
 
-    def __post_init__(self):
-        letters = tuple(check_letter(x) for x in self.letters)
+    def __init__(self, letters: Sequence[str], relations: Collection[Relation],
+                 cancellative: bool | None = None):
+        letters = tuple(check_letter(x) for x in letters)
         if len(set(letters)) != len(letters):
             raise ValueError("duplicate generator names")
         alphabet = set(letters)
-        # the dataclass order, read as one tuple per relation
-        kept = sorted({r for r in self.relations if not r.trivial}, key=attrgetter("lhs", "rhs"))
+        # Relation's own order, (lhs, rhs)
+        kept = sorted({r for r in relations if not r.trivial}, key=attrgetter("lhs", "rhs"))
         for r in kept:
             unknown = r.letters() - alphabet
             if unknown:
                 raise ValueError(f"relation uses unknown letters {sorted(unknown)}")
-        object.__setattr__(self, "letters", letters)
-        object.__setattr__(self, "relations", tuple(kept))
+        self.__dict__.update(letters=letters, relations=tuple(kept), cancellative=cancellative)
+
+    def _key(self) -> tuple:
+        return self.letters, self.relations
 
     @cached_property
     def index(self) -> dict[str, int]:

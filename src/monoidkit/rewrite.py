@@ -66,28 +66,35 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from itertools import chain, compress
 
 from .errors import CapExceededError, NonHomogeneousError
-from .presentation import Presentation, Word
+from .presentation import Presentation, Word, _Frozen
 
 DEFAULT_CAP = 1_000_000
 
 
-@dataclass(frozen=True)
-class EquivClass:
+class EquivClass(_Frozen):
     """The set of words equivalent to ``seed``.
 
     ``canonical`` is the lexicographically least member under alphabet
     declaration order.  ``truncated`` means enumeration stopped at a cap and
     ``members`` is only the part discovered so far (in deterministic order).
+    ``len()`` and ``in`` read ``members``.
     """
 
+    __slots__ = _fields = ("seed", "members", "canonical", "truncated")
     seed: Word
     members: frozenset[Word]
     canonical: Word
-    truncated: bool = False
+    truncated: bool
+
+    def __init__(self, seed: Word, members: frozenset[Word], canonical: Word,
+                 truncated: bool = False):
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "canonical", canonical)
+        object.__setattr__(self, "truncated", truncated)
 
     def __len__(self) -> int:
         return len(self.members)

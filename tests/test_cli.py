@@ -1,5 +1,6 @@
 import argparse
 import json
+import os
 import re
 import subprocess
 import sys
@@ -286,6 +287,23 @@ def test_presentation_from_pipe():
 
 
 def test_bare_fixture_name_as_source(capsys):
+    assert run(["equal", "M6", "cdeaf", "ceafd"]) == 0
+    assert "result: true" in capsys.readouterr().out
+
+
+def test_unreadable_path_names_the_reason(tmp_path, monkeypatch, capsys):
+    assert run(["parse", str(tmp_path / "missing")]) == 2
+    assert capsys.readouterr().err == f"error: no such file or fixture: {tmp_path / 'missing'}\n"
+    # a directory is there but cannot be read as a file: say so, not "no such file"
+    assert run(["parse", str(tmp_path)]) == 2
+    head, reason = capsys.readouterr().err.rsplit(": ", 1)
+    assert head == f"error: cannot read {tmp_path}" and reason.strip()
+    assert run(["parse", str(tmp_path), "--json"]) == 2
+    rep = json_report(capsys)
+    assert rep["error"].startswith(f"cannot read {tmp_path}: ") and rep["exit_code"] == 2
+    # a fixture name still wins over an unreadable path of that name
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "M6").mkdir()
     assert run(["equal", "M6", "cdeaf", "ceafd"]) == 0
     assert "result: true" in capsys.readouterr().out
 
@@ -611,3 +629,20 @@ def test_closed_pipe_exits_like_sigpipe():
     _, err = proc.communicate(timeout=120)
     assert proc.returncode == 141
     assert "Traceback" not in err
+
+
+def test_import_leaves_out_dataclasses():
+    # dataclasses brings in inspect, ast, dis and tokenize and compiles code
+    # for every class it decorates: a third of the CLI's start-up, and the
+    # package needs none of it.  -I -S: only the package's own imports
+    # count; -B: -I ignores PYTHONDONTWRITEBYTECODE, so write no bytecode.
+    src = os.path.dirname(os.path.dirname(mk.__file__))
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "import monoidkit.cli\n"
+        "print('dataclasses' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", script],
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "False\n"

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -75,7 +74,7 @@ def test_divides_caches_only_the_class_of_v(p22, rng):
 # g(2,2) and g(3,2) as built, flagged cancellative, and the same presentations
 # unflagged, so that divisions take the union-find over their quotients
 FLAGGED = [mk.build_gmn(m, n).presentation for m, n in ((2, 2), (3, 2))]
-UNFLAGGED = [replace(p, cancellative=None) for p in FLAGGED]
+UNFLAGGED = [mk.Presentation(p.letters, p.relations) for p in FLAGGED]
 
 
 @st.composite

@@ -1,5 +1,4 @@
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -218,7 +217,7 @@ def _with_relation(ctx, lhs, rhs):
     # g(m,n) plus one extra relation: the laws fail in known numbers
     p = ctx.presentation
     extra = mk.Relation(tuple(lhs.split()), tuple(rhs.split()))
-    return replace(ctx, presentation=mk.Presentation(p.letters, p.relations + (extra,)))
+    return ctx._replace(presentation=mk.Presentation(p.letters, p.relations + (extra,)))
 
 
 def test_division_law_case_i_exact_violations():

@@ -143,13 +143,13 @@ DIGESTS = {
 @pytest.mark.parametrize("name", DIGESTS)
 def test_presentations_built_once_in_dataclass_order(name, monkeypatch):
     checks = []
-    post_init = Presentation.__post_init__
+    init = Presentation.__init__
 
-    def counting(self):
+    def counting(self, *args, **kwargs):
         checks.append(self)
-        post_init(self)
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(Presentation, "__post_init__", counting)
+    monkeypatch.setattr(Presentation, "__init__", counting)
     gmn = name.startswith("gmn:")
     p = mk.build_gmn(*map(int, name[4:].split(","))).presentation if gmn else mk.fixture(name)
     assert len(checks) == 1
