@@ -38,7 +38,6 @@ import sys
 import time
 from functools import cache
 from itertools import chain
-from pathlib import Path
 
 from .cancel import search_failures
 from .claims import check_claim
@@ -168,7 +167,8 @@ def _load(src: str) -> Presentation:
         return build_gmn(int(m), int(n)).presentation
     try:
         # any readable path, pipes like /dev/stdin included
-        text = Path(src).read_text(encoding="utf-8")
+        with open(src, encoding="utf-8") as f:
+            text = f.read()
     except OSError as e:
         if src in fixture_names():
             return fixture(src)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import re
-from functools import cached_property, total_ordering
+from functools import cache, cached_property, total_ordering
 from operator import attrgetter
 from typing import Collection, Sequence
 
@@ -241,6 +241,11 @@ def format_word(p: Presentation, w: Word) -> str:
 
 def parse_presentation(text: str, *, cancellative: bool | None = None) -> Presentation:
     """The presentation a file's text declares, flagged ``cancellative``."""
+    return Presentation(*_parse_text(text), cancellative)
+
+
+def _parse_text(text: str) -> tuple[tuple[str, ...], tuple[Relation, ...]]:
+    """The letters and relations a file's text declares, as declared."""
     letters: list[str] | None = None
     relations: list[Relation] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -281,7 +286,7 @@ def parse_presentation(text: str, *, cancellative: bool | None = None) -> Presen
             raise ParseError(str(e), lineno) from None
     if letters is None:
         raise ParseError("missing generators line")
-    return Presentation(tuple(letters), tuple(relations), cancellative)
+    return tuple(letters), tuple(relations)
 
 
 def serialize_presentation(p: Presentation) -> str:
@@ -331,15 +336,22 @@ _FIXTURES = {
 }
 
 
+@cache
+def _fixture_parts(key: str) -> tuple[tuple[str, ...], tuple[Relation, ...]]:
+    return _parse_text(_FIXTURES[key])
+
+
 def fixture(name: str) -> Presentation:
     """One of the bundled six-generator example presentations.
 
-    All three are homogeneous and letter-balanced but not cancellative.
+    All three are homogeneous and letter-balanced but not cancellative.  A
+    fixture's text is parsed once per process; each call returns a new
+    presentation with its own engine.
     """
     key = name.replace("-", "_")
     if key not in _FIXTURES:
         raise ValueError(f"unknown fixture {name!r}; choose from {sorted(_FIXTURES)}")
-    return parse_presentation(_FIXTURES[key], cancellative=False)
+    return Presentation(*_fixture_parts(key), cancellative=False)
 
 
 def fixture_names() -> tuple[str, ...]:

@@ -64,7 +64,13 @@ def naive_quotients(u, v, p, side):
         quots = {m[n:] for m in cls if m[:n] == u}
     else:
         quots = {m[:len(m) - n] for m in cls if m[len(m) - n:] == u}
-    return {naive_canonical(q, p) for q in quots}
+    # close each quotient's class once: its other members share its canonical
+    canonicals = set()
+    while quots:
+        qcls = naive_class(quots.pop(), p)
+        canonicals.add(min(qcls, key=p.word_key))
+        quots -= qcls
+    return canonicals
 
 
 def naive_partition(p, n):

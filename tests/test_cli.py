@@ -634,15 +634,16 @@ def test_closed_pipe_exits_like_sigpipe():
 def test_import_leaves_out_dataclasses():
     # dataclasses brings in inspect, ast, dis and tokenize and compiles code
     # for every class it decorates: a third of the CLI's start-up, and the
-    # package needs none of it.  -I -S: only the package's own imports
-    # count; -B: -I ignores PYTHONDONTWRITEBYTECODE, so write no bytecode.
+    # package needs none of it.  pathlib brings in fnmatch and urllib.parse
+    # to read one file.  -I -S: only the package's own imports count; -B: -I
+    # ignores PYTHONDONTWRITEBYTECODE, so write no bytecode.
     src = os.path.dirname(os.path.dirname(mk.__file__))
     script = (
         "import sys\n"
         f"sys.path.insert(0, {src!r})\n"
         "import monoidkit.cli\n"
-        "print('dataclasses' in sys.modules)\n"
+        "print([m for m in ('dataclasses', 'pathlib') if m in sys.modules])\n"
     )
     out = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", script],
                          capture_output=True, text=True, check=True).stdout
-    assert out == "False\n"
+    assert out == "[]\n"

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 import monoidkit as mk
 from monoidkit import ParseError, Presentation, Relation
 from monoidkit.presentation import _FIXTURES
+from monoidkit.rewrite import engine
 
 from conftest import W
 
@@ -127,6 +128,36 @@ def test_fixture_counts(m6, m6p, m6pc):
 
 def test_fixtures_flagged_not_cancellative(m6):
     assert m6.cancellative is False
+
+
+def test_fixture_calls_share_no_object():
+    a, b = mk.fixture("M6"), mk.fixture("M6")
+    assert a == b and a is not b
+    assert engine(a) is not engine(b)
+
+
+def test_fixture_text_parsed_once_per_name(monkeypatch):
+    parsed = []
+    parse = mk.presentation._parse_text
+
+    def counting(text):
+        parsed.append(text)
+        return parse(text)
+
+    # fixture() goes through the private parser: parse_presentation would
+    # build a second Presentation on every first call
+    monkeypatch.setattr(mk.presentation, "_parse_text", counting)
+    mk.presentation._fixture_parts.cache_clear()
+    try:
+        for name in ("M6", "M6p-completed", "M6", "M6p_completed", "M6p", "M6p"):
+            mk.fixture(name)
+    finally:
+        mk.presentation._fixture_parts.cache_clear()
+    assert sorted(parsed) == sorted(_FIXTURES.values())
+    assert mk.fixture("M6p-completed") == mk.fixture("M6p_completed")
+    with pytest.raises(ValueError) as e:
+        mk.fixture("M7")
+    assert str(e.value) == "unknown fixture 'M7'; choose from ['M6', 'M6p', 'M6p_completed']"
 
 
 # serialize_presentation digests; any change to parsing, relation order or
