@@ -28,25 +28,25 @@ the failures found.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from itertools import combinations
-from typing import NamedTuple
 
 from .presentation import Presentation, Relation, Word
 from .rewrite import DEFAULT_CAP, RewriteEngine, engine
 
 
-class CancellationFailure(NamedTuple):
+class CancellationFailure(namedtuple("CancellationFailure", "side context x y")):
     """Witness: equal(context+x, context+y) but not equal(x, y) (side="left"),
     or the mirror with the context appended (side="right")."""
 
+    __slots__ = ()
     side: str
     context: Word
     x: Word
     y: Word
 
 
-class LetterSymmetries(NamedTuple):
+class LetterSymmetries(namedtuple("LetterSymmetries", "anti checks cap")):
     """Letter maps of a presentation truncated at a length, in encoded letters.
 
     ``anti`` is an anti-automorphism as a translate table, the string whose
@@ -54,6 +54,7 @@ class LetterSymmetries(NamedTuple):
     counts the work the finder spent, never more than ``cap``.
     """
 
+    __slots__ = ()
     anti: str | None
     checks: int
     cap: int

@@ -11,8 +11,8 @@ one-letter family's letter is central.  Refused arguments raise ValueError.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import product
-from typing import NamedTuple
 
 from .divisibility import mcm_r
 from .gmn import GmnContext, build_gmn, in_rm
@@ -39,11 +39,12 @@ _FIXTURE_CLAIMS = {
 }
 
 
-class ClaimReport(NamedTuple):
+class ClaimReport(namedtuple("ClaimReport", "claims bounds")):
     """One entry per checked pair or property, each with its ``id`` and its
     own ``reproduced``; ``bounds`` holds k for the fixture claims and
     max_len for the g(m,n) ones."""
 
+    __slots__ = ()
     claims: list[dict]
     bounds: dict[str, int]
 

@@ -17,7 +17,11 @@ after it is a usage error.
 
 The parser is built on the first run() and shared by every later one in the
 process (the re-parse of ``gmn --run`` included); each parse starts from a
-fresh namespace, so no flag carries over from one call to the next.
+fresh namespace, so no flag carries over from one call to the next.  An argv
+that opens with a command name is parsed once, by that command's subparser,
+which is all the full parser would do with it.  Help, flags before the
+command, an unknown command and arguments the subparser leaves over go to
+the full parser, so namespaces, messages and exit codes are its own.
 
 A bound below its least value is a usage error: ``--cap`` must be at least
 1, ``--max-len`` and ``--verify-to`` at least 0.  ``claim`` only renders
@@ -94,6 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
     )
     sub = ap.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    ap.commands = sub.choices  # name -> subparser, for _parse()
 
     def add(name: str, help: str, handler, *positionals: str) -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help, parents=[common])
@@ -166,9 +171,9 @@ def _load(src: str) -> Presentation:
             raise ParseError(f"expected gmn:M,N, got {src}")
         return build_gmn(int(m), int(n)).presentation
     try:
-        # any readable path, pipes like /dev/stdin included
-        with open(src, encoding="utf-8") as f:
-            text = f.read()
+        # any readable path, pipes like /dev/stdin included, read whole
+        with open(src, "rb", buffering=0) as f:
+            data = f.read()
     except OSError as e:
         if src in fixture_names():
             return fixture(src)
@@ -176,7 +181,7 @@ def _load(src: str) -> Presentation:
             raise ParseError(f"no such file or fixture: {src}") from None
         # a path that is there but cannot be read: a directory, no permission
         raise ParseError(f"cannot read {src}: {e.strerror or e}") from None
-    return parse_presentation(text)
+    return parse_presentation(data.decode("utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -399,10 +404,22 @@ def _emit_report(args, argv, payload, lines, bounds, pres, elapsed_ms):
         print(f"elapsed: {elapsed_ms} ms")
 
 
-def run(argv: list[str]) -> int:
+def _parse(argv: list[str], json: bool, cap: int) -> argparse.Namespace:
+    """The namespace of ``argv`` over the given --json and --cap, parsed as
+    the module docstring says: by one subparser when that is all it needs."""
     parser = build_parser()
+    sub = parser.commands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, rest = sub.parse_known_args(
+            argv[1:], argparse.Namespace(json=json, cap=cap, command=argv[0]))
+        if not rest:
+            return args
+    return parser.parse_args(argv, argparse.Namespace(json=json, cap=cap))
+
+
+def run(argv: list[str]) -> int:
     try:
-        args = parser.parse_args(argv, argparse.Namespace(json=False, cap=DEFAULT_CAP))
+        args = _parse(argv, False, DEFAULT_CAP)
         if args.command == "gmn" and args.run is not None:
             if not args.run:
                 return _fail(args, argv, 2, "gmn --run needs a command to run")
@@ -412,8 +429,7 @@ def run(argv: list[str]) -> int:
                              f"{cmd!r}; put flags before --run or after the command")
             if cmd in ("gmn", "claim"):
                 return _fail(args, argv, 2, f"cannot nest {cmd!r} under gmn --run")
-            args = parser.parse_args([cmd, f"gmn:{args.m},{args.n}", *rest],
-                                     argparse.Namespace(json=args.json, cap=args.cap))
+            args = _parse([cmd, f"gmn:{args.m},{args.n}", *rest], args.json, args.cap)
     except SystemExit as e:
         return int(e.code) if e.code else 0
     for flag, least in _LEAST.items():

@@ -25,19 +25,21 @@ reported within the bound are exact.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Iterable
 from itertools import islice
-from typing import Iterable, NamedTuple
 
 from .presentation import Presentation, Word
 from .rewrite import DEFAULT_CAP, engine
 
 
-class DivisionResult(NamedTuple):
+class DivisionResult(namedtuple("DivisionResult", "divides quotients")):
+    __slots__ = ()
     divides: bool
     quotients: frozenset[Word]
 
 
-class McmReport(NamedTuple):
+class McmReport(namedtuple("McmReport", "bound common_multiples minimal lcm_up_to_bound")):
     """Common right multiples of a word set up to a length bound.
 
     ``minimal`` holds the members of ``common_multiples`` with no proper
@@ -47,6 +49,7 @@ class McmReport(NamedTuple):
     bound.
     """
 
+    __slots__ = ()
     bound: int
     common_multiples: frozenset[Word]
     minimal: frozenset[Word]

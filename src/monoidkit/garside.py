@@ -12,16 +12,17 @@ closure: quotients and divisor sets are unions of classes read off it.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import defaultdict, namedtuple
 from functools import cache
-from typing import NamedTuple
 
 from .errors import NotFundamentalError
 from .presentation import Presentation, Word
 from .rewrite import DEFAULT_CAP, engine
 
 
-class FundamentalCertificate(NamedTuple):
+class FundamentalCertificate(namedtuple("FundamentalCertificate",
+                                        "delta sigma quotients order sigma_count",
+                                        defaults=(1,))):
     """Witness that ``delta`` is fundamental.
 
     ``quotients[s]`` is a canonical word with delta = s * quotients[s] and
@@ -31,14 +32,16 @@ class FundamentalCertificate(NamedTuple):
     lexicographically first.
     """
 
+    __slots__ = ()
     delta: Word
     sigma: dict[str, str]
     quotients: dict[str, Word]
     order: int
-    sigma_count: int = 1
+    sigma_count: int  # 1 unless given
 
 
-class GarsideReport(NamedTuple):
+class GarsideReport(namedtuple("GarsideReport", "left_divisors right_divisors coincide generate")):
+    __slots__ = ()
     left_divisors: frozenset[Word]
     right_divisors: frozenset[Word]
     coincide: bool

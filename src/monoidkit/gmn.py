@@ -14,16 +14,17 @@ six division laws which together give left cancellativity.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterator
 from itertools import product
-from typing import NamedTuple
 
 from .cancel import search_failures
 from .presentation import Presentation, Relation, Word, expand_cyclic
 from .rewrite import DEFAULT_CAP, engine
 
 
-class GmnContext(NamedTuple):
+class GmnContext(namedtuple("GmnContext", "m n presentation delta1 delta2 delta")):
+    __slots__ = ()
     m: int
     n: int
     presentation: Presentation
@@ -126,13 +127,15 @@ def in_rm(ctx: GmnContext, w: Word, family: int) -> bool:
 # bounded verification of the six division laws
 
 
-class DivisionLawViolation(NamedTuple):
+class DivisionLawViolation(namedtuple("DivisionLawViolation", "case lhs rhs")):
+    __slots__ = ()
     case: str
     lhs: Word
     rhs: Word
 
 
-class DivisionLawReport(NamedTuple):
+class DivisionLawReport(namedtuple("DivisionLawReport", "case max_len instances violations")):
+    __slots__ = ()
     case: str
     max_len: int
     instances: int

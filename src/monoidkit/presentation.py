@@ -21,9 +21,10 @@ from __future__ import annotations
 
 import hashlib
 import re
+from collections.abc import Collection, Sequence
 from functools import cache, cached_property, total_ordering
+from itertools import chain
 from operator import attrgetter
-from typing import Collection, Sequence
 
 from .errors import ParseError
 
@@ -134,15 +135,17 @@ class Presentation(_Frozen):
     def __init__(self, letters: Sequence[str], relations: Collection[Relation],
                  cancellative: bool | None = None):
         letters = tuple(check_letter(x) for x in letters)
-        if len(set(letters)) != len(letters):
-            raise ValueError("duplicate generator names")
         alphabet = set(letters)
-        # Relation's own order, (lhs, rhs)
-        kept = sorted({r for r in relations if not r.trivial}, key=attrgetter("lhs", "rhs"))
-        for r in kept:
-            unknown = r.letters() - alphabet
-            if unknown:
-                raise ValueError(f"relation uses unknown letters {sorted(unknown)}")
+        if len(alphabet) != len(letters):
+            raise ValueError("duplicate generator names")
+        # one of each pair of sides, in Relation's own order, (lhs, rhs)
+        kept = sorted({(r.lhs, r.rhs): r for r in relations if not r.trivial}.values(),
+                      key=attrgetter("lhs", "rhs"))
+        if not alphabet.issuperset(chain.from_iterable(r.lhs + r.rhs for r in kept)):
+            for r in kept:  # name the first relation at fault
+                unknown = r.letters() - alphabet
+                if unknown:
+                    raise ValueError(f"relation uses unknown letters {sorted(unknown)}")
         self.__dict__.update(letters=letters, relations=tuple(kept), cancellative=cancellative)
 
     def _key(self) -> tuple:
@@ -208,18 +211,21 @@ def _tokenize_word(text: str, letters: Collection[str], inverses: bool = False) 
     """The letter tokens of a word: dot-separated names, one character per
     letter when every name is one character, or else the whole text as one
     name; ``1`` as for ``parse_word``.  With ``inverses`` a token may end in
-    ``~`` (kept on it), which no name has."""
+    ``~`` (kept on it), which no name has.  ``letters`` is a set or a dict of
+    the names, so that each token costs one lookup."""
     text = text.strip()
-    if text == "" or (text == "1" and "1" not in letters):
-        return []
     if "." in text:
-        toks = [t for t in text.split(".") if t]
+        toks = text.split(".")
+        if "" in toks:
+            toks = [t for t in toks if t]
+    elif text == "" or (text == "1" and "1" not in letters):
+        return []
     elif all(len(x) == 1 for x in letters):
         toks = re.findall(".~?", text, re.S)
     else:
         toks = [text]
-    for t in toks:
-        name = t[:-1] if inverses and t.endswith("~") else t
+    names = (t[:-1] if t.endswith("~") else t for t in toks) if inverses else toks
+    for name in names:
         if name not in letters:
             raise ParseError(f"unknown letter {name!r}" if name else "'~' must follow a letter")
     return toks
@@ -247,6 +253,7 @@ def parse_presentation(text: str, *, cancellative: bool | None = None) -> Presen
 def _parse_text(text: str) -> tuple[tuple[str, ...], tuple[Relation, ...]]:
     """The letters and relations a file's text declares, as declared."""
     letters: list[str] | None = None
+    alphabet: set[str] = set()  # the letters, looked up per token
     relations: list[Relation] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -263,13 +270,14 @@ def _parse_text(text: str) -> tuple[tuple[str, ...], tuple[Relation, ...]]:
                 letters = [check_letter(t) for t in rest.split()]
                 if not letters:
                     raise ParseError("empty generator list")
-                if len(set(letters)) != len(letters):
+                alphabet = set(letters)
+                if len(alphabet) != len(letters):
                     raise ParseError("duplicate generator names")
             elif letters is None:
                 raise ParseError("generators must be declared first")
             elif directive == "cyclic":
                 # whitespace-separated names: the dot form of a word
-                relations.extend(expand_cyclic(_tokenize_word(".".join(rest.split()), letters)))
+                relations.extend(expand_cyclic(_tokenize_word(".".join(rest.split()), alphabet)))
             elif directive == "relation":
                 sides = rest.split("=")
                 if len(sides) < 2:
@@ -278,8 +286,8 @@ def _parse_text(text: str) -> tuple[tuple[str, ...], tuple[Relation, ...]]:
                 for side in sides:
                     if not side.strip():
                         raise ParseError("empty relation side")
-                    words.append(tuple(_tokenize_word(side, letters)))
-                relations.extend(Relation(words[0], w) for w in words[1:])
+                    words.append(_tokenize_word(side, alphabet))
+                relations += [Relation(words[0], w) for w in words[1:]]
             else:
                 raise ParseError(f"unknown directive {directive!r}")
         except ValueError as e:
@@ -291,8 +299,10 @@ def _parse_text(text: str) -> tuple[tuple[str, ...], tuple[Relation, ...]]:
 
 def serialize_presentation(p: Presentation) -> str:
     """Canonical text form; parse(serialize(parse(x))) is stable."""
+    pos = p.index.__getitem__
     lines = [f"generators: {' '.join(p.letters)}"]
-    for r in sorted(p.relations, key=lambda r: (p.word_key(r.lhs), p.word_key(r.rhs))):
+    # each relation's sort key is its two word_keys
+    for r in sorted(p.relations, key=lambda r: (tuple(map(pos, r.lhs)), tuple(map(pos, r.rhs)))):
         lines.append(f"relation: {format_word(p, r.lhs)} = {format_word(p, r.rhs)}")
     return "\n".join(lines) + "\n"
 

@@ -127,10 +127,11 @@ class RewriteEngine:
         self.separator = chr(len(p.letters))  # joins the words of a BFS level
         self._to_char = {x: chr(i) for i, x in enumerate(p.letters)}
         self._to_letter = {chr(i): x for i, x in enumerate(p.letters)}
+        to_char = self._to_char.__getitem__
         directed = set()
         for r in p.relations:
-            a = "".join(self._to_char[x] for x in r.lhs)
-            b = "".join(self._to_char[x] for x in r.rhs)
+            a = "".join(map(to_char, r.lhs))
+            b = "".join(map(to_char, r.rhs))
             directed.add((a, b))
             directed.add((b, a))
         self.rules: tuple[tuple[str, str], ...] = tuple(sorted(directed))

@@ -64,12 +64,17 @@ def naive_quotients(u, v, p, side):
         quots = {m[n:] for m in cls if m[:n] == u}
     else:
         quots = {m[:len(m) - n] for m in cls if m[len(m) - n:] == u}
-    # close each quotient's class once: its other members share its canonical
+    return naive_canonicals(quots, p)
+
+
+def naive_canonicals(words, p):
+    """The canonical words of the classes of ``words``, a set it empties: each
+    class is closed once, since its other members share its canonical."""
     canonicals = set()
-    while quots:
-        qcls = naive_class(quots.pop(), p)
-        canonicals.add(min(qcls, key=p.word_key))
-        quots -= qcls
+    while words:
+        cls = naive_class(words.pop(), p)
+        canonicals.add(min(cls, key=p.word_key))
+        words -= cls
     return canonicals
 
 

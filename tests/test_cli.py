@@ -308,22 +308,15 @@ def test_unreadable_path_names_the_reason(tmp_path, monkeypatch, capsys):
     assert "result: true" in capsys.readouterr().out
 
 
-def test_usage_errors(capsys, tmp_path):
+def usage_errors(tmp_path):
+    """(argv, message) for usage errors that name what is wrong; the files
+    they read are written under ``tmp_path``."""
     def source(name, text):
         (tmp_path / name).write_text(text)
         return str(tmp_path / name)
 
-    assert run(["equal", "no/such/file", "a", "b"]) == 2
-    capsys.readouterr()
-    assert run(["equal", M6, "zz", "a"]) == 2
-    capsys.readouterr()
-    assert run(["nonsense"]) == 2
-    capsys.readouterr()
-    for k in ("0", "-2"):
-        assert run(["claim", "M6", "--k", k]) == 2
-        assert f"--k must be at least 1, got {k}" in capsys.readouterr().err
-    # a bound below its least value is a usage error, checked before any work
-    for argv, message in (
+    return (
+        # a bound below its least value is a usage error, checked before any work
         (["class", M6, "a", "--cap", "0"], "--cap must be at least 1, got 0"),
         (["--cap", "-1", "equal", M6, "a", "a"], "--cap must be at least 1, got -1"),
         (["cancel-search", M6, "--max-len", "-3"], "--max-len must be at least 0, got -3"),
@@ -368,7 +361,40 @@ def test_usage_errors(capsys, tmp_path):
         (["claim", "center", "--id", "cdea"], "unknown claim id for center: cdea"),
         # check_claim is the one gate for --k, so an unread --k is named as such
         (["claim", "no-lcm", "--k", "0"], "claim no-lcm does not read --k"),
-    ):
+    )
+
+
+def test_file_is_read_as_bytes_and_decoded_once(tmp_path, capsys):
+    # CR and CRLF line ends and a missing final newline parse as the plain
+    # file; bytes that are no UTF-8 are a usage error that names them
+    plain = mk.serialize_presentation(mk.build_gmn(2, 2).presentation)
+    reports = []
+    for name, text in (("plain", plain), ("crlf", plain.replace("\n", "\r\n")),
+                       ("cr", plain.replace("\n", "\r")), ("no-end", plain.rstrip("\n"))):
+        (tmp_path / name).write_bytes(text.encode())
+        assert run(["parse", str(tmp_path / name), "--json"]) == 0
+        rep = json_report(capsys)
+        reports.append((rep["result"], rep["presentation_sha"]))
+    assert reports == [reports[0]] * 4
+    (tmp_path / "latin-1").write_bytes("generators: a b\n# \xe9\n".encode("latin-1"))
+    message = "'utf-8' codec can't decode byte 0xe9 in position 18: invalid continuation byte"
+    assert run(["parse", str(tmp_path / "latin-1")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert run(["parse", str(tmp_path / "latin-1"), "--json"]) == 2
+    assert json_report(capsys)["error"] == message
+
+
+def test_usage_errors(capsys, tmp_path):
+    assert run(["equal", "no/such/file", "a", "b"]) == 2
+    capsys.readouterr()
+    assert run(["equal", M6, "zz", "a"]) == 2
+    capsys.readouterr()
+    assert run(["nonsense"]) == 2
+    capsys.readouterr()
+    for k in ("0", "-2"):
+        assert run(["claim", "M6", "--k", k]) == 2
+        assert f"--k must be at least 1, got {k}" in capsys.readouterr().err
+    for argv, message in usage_errors(tmp_path):
         assert run(argv) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert run(argv + ["--json"]) == 2
@@ -415,17 +441,21 @@ SOURCED = {
 }
 
 
+def flag_orders(command):
+    """``command`` with --json and --cap 5000 placed before and after it."""
+    return (["--json", "--cap", "5000"] + command,
+            command + ["--json", "--cap", "5000"],
+            ["--json"] + command + ["--cap", "5000"],
+            ["--cap", "5000"] + command + ["--json"])
+
+
 @pytest.mark.parametrize("name", SOURCED)
 def test_common_flags_before_and_after_command(name, capsys):
     # --json and --cap mean the same wherever they stand; a default set on
     # the shared flag actions would make a subcommand drop a flag given
     # before it
-    command = SOURCED[name]
     reports = []
-    for argv in (["--json", "--cap", "5000"] + command,
-                 command + ["--json", "--cap", "5000"],
-                 ["--json"] + command + ["--cap", "5000"],
-                 ["--cap", "5000"] + command + ["--json"]):
+    for argv in flag_orders(SOURCED[name]):
         assert run(argv) == 0, argv
         reports.append(json_report(capsys))
     assert reports[0]["bounds"]["cap"] == 5000
@@ -524,7 +554,7 @@ def test_cli_matches_library(capsys):
     assert json_report(capsys)["result"]["equal"] == lib
 
 
-# -- the parser is built once per process ----------------------------------
+# -- the parser is built once per process, and a command parsed once -------
 
 
 def test_import_builds_no_parser():
@@ -569,6 +599,49 @@ def _outcome(argv, capsys):
     code = run(argv)
     out = capsys.readouterr()
     return code, _ELAPSED.sub("elapsed", out.out), out.err
+
+
+def test_dispatch_matches_the_full_parser(tmp_path, g22_file, monkeypatch, capsys):
+    # an argv that opens with a command goes straight to that command's
+    # subparser; with no command to dispatch to, every argv takes the full
+    # parser, and each outcome must be the same both ways
+    delta = "s.t1.t2.u1.u2"
+    argvs = [argv + flag for argv, _ in usage_errors(tmp_path) for flag in ([], ["--json"])]
+    argvs += [argv for command in SOURCED.values() for argv in flag_orders(command)]
+    argvs += [
+        # the benchmark's shapes
+        ["claim", "M6", "--k", "3", "--json"],
+        ["group-equal", g22_file, "t1.u1.t1~.u1~", "1", "--delta", delta,
+         "--assume-injective", "--json"],
+        ["fundamental", g22_file, delta, "--json"],
+        ["gmn", "--m", "3", "--n", "3", "--run", "cancel-search", "--max-len", "5", "--json"],
+        # help, argparse's own errors and leftover arguments
+        ["-h"], ["claim", "--help"], ["claim"], ["claim", "M6", "--bogus"],
+        ["equal", M6, "a"], ["equal", M6, "a", "b", "c"], ["equal", M6, "--", "a", "b"],
+        ["divides", M6, "a", "b", "--side", "up"], ["mcm", M6, "a", "--max-len", "x"],
+        ["gmn", "--m", "2", "--n", "2", "--run"], ["gmn", "--m", "2", "--n", "2", "--run", "bogus"],
+        ["nonsense"], [],
+    ]
+    dispatched = [_outcome(argv, capsys) for argv in argvs]
+    monkeypatch.setattr(build_parser(), "commands", {})
+    assert [_outcome(argv, capsys) for argv in argvs] == dispatched
+
+
+def test_a_command_argv_is_parsed_once(monkeypatch, capsys):
+    parsed = []
+    parse = argparse.ArgumentParser.parse_known_args
+
+    def counting(self, *args, **kwargs):
+        parsed.append(self.prog)
+        return parse(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+    assert run(["equal", M6, "a", "a", "--json"]) == 0
+    assert parsed == ["monoidkit equal"]
+    # flags before the command take the full parser, which hands on the rest
+    parsed.clear()
+    assert run(["--json", "equal", M6, "a", "a"]) == 0
+    assert parsed == ["monoidkit", "monoidkit equal"]
 
 
 # calls run in sequence in one process, with the exit code of each
@@ -635,14 +708,16 @@ def test_import_leaves_out_dataclasses():
     # dataclasses brings in inspect, ast, dis and tokenize and compiles code
     # for every class it decorates: a third of the CLI's start-up, and the
     # package needs none of it.  pathlib brings in fnmatch and urllib.parse
-    # to read one file.  -I -S: only the package's own imports count; -B: -I
-    # ignores PYTHONDONTWRITEBYTECODE, so write no bytecode.
+    # to read one file.  typing costs a sixth of the import, for records that
+    # collections.namedtuple makes and hints that collections.abc has.  -I
+    # -S: only the package's own imports count; -B: -I ignores
+    # PYTHONDONTWRITEBYTECODE, so write no bytecode.
     src = os.path.dirname(os.path.dirname(mk.__file__))
     script = (
         "import sys\n"
         f"sys.path.insert(0, {src!r})\n"
         "import monoidkit.cli\n"
-        "print([m for m in ('dataclasses', 'pathlib') if m in sys.modules])\n"
+        "print([m for m in ('dataclasses', 'pathlib', 'typing') if m in sys.modules])\n"
     )
     out = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", script],
                          capture_output=True, text=True, check=True).stdout

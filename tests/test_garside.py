@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 import monoidkit as mk
 from monoidkit import NotFundamentalError, Presentation, Relation
 
-from conftest import W, naive_canonical, naive_class, random_word
+from conftest import W, naive_canonical, naive_canonicals, naive_class, random_word
 from test_tables import presentations
 
 
@@ -181,8 +181,8 @@ def test_fundamental_and_garside_match_oracle(case):
     else:
         assert (cert.sigma, cert.sigma_count, cert.quotients, cert.order) == expected
     cls = naive_class(delta, p)
-    left = {naive_canonical(m[:i], p) for m in cls for i in range(len(m) + 1)}
-    right = {naive_canonical(m[i:], p) for m in cls for i in range(len(m) + 1)}
+    left = naive_canonicals({m[:i] for m in cls for i in range(len(m) + 1)}, p)
+    right = naive_canonicals({m[i:] for m in cls for i in range(len(m) + 1)}, p)
     letters = {naive_canonical((x,), p) for x in p.letters}
     rep = mk.verify_garside(delta, p)
     assert rep.left_divisors == left and rep.right_divisors == right

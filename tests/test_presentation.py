@@ -43,6 +43,10 @@ def test_parse_errors_carry_line_numbers():
     for line in ("relation: ab~ = ba", "cyclic: a b~"):
         with pytest.raises(ParseError, match="line 2: unknown letter"):
             mk.parse_presentation(f"generators: a b\n{line}\n")
+    # a relation line names the first unknown letter, dotted or not
+    for line, letter in (("relation: ab = bc", "c"), ("relation: a.b = b.x1.y", "x1")):
+        with pytest.raises(ParseError, match=rf"^line 2: unknown letter '{letter}'$"):
+            mk.parse_presentation(f"generators: a b\n{line}\n")
     # a ParseError is a ValueError, as every refused argument is
     assert issubclass(ParseError, ValueError)
 
@@ -107,8 +111,12 @@ def test_relation_unordered_and_trivial_dropped():
 
 
 def test_presentation_validation():
-    with pytest.raises(ValueError, match="unknown letters"):
+    with pytest.raises(ValueError, match=r"^relation uses unknown letters \['b'\]$"):
         Presentation(("a",), (Relation(("a",), ("b",)),))
+    # the first relation at fault in the presentation's order is named
+    with pytest.raises(ValueError, match=r"^relation uses unknown letters \['c', 'd'\]$"):
+        Presentation(("a", "b"), (Relation(W("ae"), W("ea")), Relation(W("ab"), W("ba")),
+                                  Relation(W("ad"), W("ca"))))
     with pytest.raises(ValueError, match="duplicate"):
         Presentation(("a", "a"), ())
     with pytest.raises(ValueError, match="bad letter"):
