@@ -2,9 +2,11 @@
 
 u left-divides v when v = u*w for some w in the monoid.  Because the literal
 concatenation u*w lies in the class of v whenever the equation holds, the
-point test is a prefix scan over the class of v: sound and complete.  That
-scan is ``RewriteEngine.quotients``, the one division path of the package
-(the group words divide their residuals through it too).  The quotients
+point test reads the members of the class of v that start with u: sound and
+complete.  ``RewriteEngine.quotients`` finds them in one text of the whole
+class, kept for the next division of that class; it is the one division
+path of the package (the group words divide their residuals through it
+too).  The quotients
 found form a union of classes (if a*q lies in the class of v and q equals
 q', so does a*q'), so ``RewriteEngine.least_words`` reads their canonical
 forms off them in one pass: a division test closes over and caches the class

@@ -19,7 +19,6 @@ every generator name is a single character, plain concatenation (``abf``).
 
 from __future__ import annotations
 
-import hashlib
 import re
 from collections.abc import Collection, Sequence
 from functools import cache, cached_property, total_ordering
@@ -308,6 +307,8 @@ def serialize_presentation(p: Presentation) -> str:
 
 
 def presentation_digest(p: Presentation) -> str:
+    import hashlib  # only reports need it: OpenSSL's _hashlib slows every start-up
+
     return hashlib.sha256(serialize_presentation(p).encode()).hexdigest()
 
 

@@ -16,17 +16,20 @@ C speed and the lexicographic minimum of a class doubles as its canonical
 representative.
 
 Point queries (equality, canonical forms, divisibility) close over one class
-breadth-first; a division reads its quotients off the dividend's class
-(``quotients``).  Each BFS level is scanned as one string, its words joined
+breadth-first.  Each BFS level is scanned as one string, its words joined
 by a separator letter that no rule contains, so every rule costs one
 ``find`` loop per level rather than one per member; homogeneity puts every
 member at the seed's length, so the position of a hit gives the word it lies
-in.  A complete class is cached per engine under each of its members,
-together with its least word, so a canonical form read from the cache costs
-O(1).  A union of classes of one length already in hand, such as the
-quotients of a division or the prefixes of a class, gives the least word of
-each of its classes in one union-find pass over its joined words
-(``least_words``).
+in.  A division reads its quotients off the dividend's class the same way
+(``quotients``): the class joined and fenced by the separator is one text,
+the members that start (end) with u are the hits of separator + u (u +
+separator), and the engine keeps the text of the last class divided for the
+next division of that class.  A complete class is cached per engine under
+each of its members, together with its least word, so a canonical form read
+from the cache costs O(1).  A union of classes of one length already in
+hand, such as the quotients of a division or the prefixes of a class, gives
+the least word of each of its classes in one union-find pass over its joined
+words (``least_words``).
 
 Whole-length enumeration instead builds graded class tables, level by level
 as in the right Cayley graph construction of Froidure and Pin (1997): a class
@@ -124,7 +127,7 @@ class RewriteEngine:
             )
         self.presentation = p
         self.chars = [chr(i) for i in range(len(p.letters))]
-        self.separator = chr(len(p.letters))  # joins the words of a BFS level
+        self.separator = chr(len(p.letters))  # joins the words of a BFS level or class
         self._to_char = {x: chr(i) for i, x in enumerate(p.letters)}
         self._to_letter = {chr(i): x for i, x in enumerate(p.letters)}
         to_char = self._to_char.__getitem__
@@ -138,6 +141,8 @@ class RewriteEngine:
         self.one_way = tuple((a, b) for a, b in self.rules if a <= b)  # each relation once
         self.balanced = p.letter_balanced
         self._classes: dict[str, _Class] = {}
+        # (class, text): the last class divided, joined as quotients scans it
+        self._joined: tuple[_Class, str] | None = None
         # _tables[m][c * |A| + a]: class of (class c of length m) * letter a;
         # _levels[m]: the classes of length m
         self._tables: list[array] = []
@@ -283,14 +288,44 @@ class RewriteEngine:
     def quotients(self, v: str, u: str, side: str, cap: int = DEFAULT_CAP) -> set[str]:
         """The words q with v = u*q (side "left") or v = q*u ("right"), a
         union of classes read off the closure of v, where the literal u*q
-        (q*u) lies whenever the equation holds; empty, with no closure, when
-        u is longer than v.  Every division in the package comes here."""
-        if len(u) > len(v):
+        (q*u) lies whenever the equation holds; the whole class when u is
+        empty, and empty, with no closure, when u is longer than v.  Every
+        division in the package comes here.
+
+        The class is scanned as one text, its members joined and fenced by
+        the separator, so the members that start with u are the hits of
+        separator + u (those that end with u, of u + separator), found by
+        ``find`` at C speed; only they are sliced.  The engine keeps the text
+        of the last class divided, as one (class, text) slot, so repeated
+        divisions of one class join it once; a racing thread either reuses
+        the slot or builds its own text, and both are right."""
+        n, k = len(v), len(u)
+        if k > n:
             return set()
         cls = self.closure(v, cap)
+        if not k:
+            return set(cls)
+        sep = self.separator
+        kept = self._joined
+        if kept is not None and kept[0] is cls:
+            text = kept[1]
+        else:
+            text = sep + sep.join(cls) + sep
+            self._joined = cls, text
+        # a hit at i is the separator before a member that starts with u, or
+        # u ending a member at the separator at i + k: slice q off around i
         if side == "left":
-            return {m[len(u):] for m in cls if m.startswith(u)}
-        return {m[:len(v) - len(u)] for m in cls if m.endswith(u)}
+            pat, lo, hi = sep + u, k + 1, n + 1
+        else:
+            pat, lo, hi = u + sep, k - n, 0
+        step = n + 1
+        find = text.find
+        out = set()
+        i = find(pat)
+        while i >= 0:
+            out.add(text[i + lo:i + hi])
+            i = find(pat, i + step)
+        return out
 
     # -- graded class tables --------------------------------------------------
 

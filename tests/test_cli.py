@@ -709,7 +709,8 @@ def test_import_leaves_out_dataclasses():
     # for every class it decorates: a third of the CLI's start-up, and the
     # package needs none of it.  pathlib brings in fnmatch and urllib.parse
     # to read one file.  typing costs a sixth of the import, for records that
-    # collections.namedtuple makes and hints that collections.abc has.  -I
+    # collections.namedtuple makes and hints that collections.abc has.
+    # hashlib loads OpenSSL's _hashlib, for the report digest alone.  -I
     # -S: only the package's own imports count; -B: -I ignores
     # PYTHONDONTWRITEBYTECODE, so write no bytecode.
     src = os.path.dirname(os.path.dirname(mk.__file__))
@@ -717,7 +718,8 @@ def test_import_leaves_out_dataclasses():
         "import sys\n"
         f"sys.path.insert(0, {src!r})\n"
         "import monoidkit.cli\n"
-        "print([m for m in ('dataclasses', 'pathlib', 'typing') if m in sys.modules])\n"
+        "print([m for m in ('dataclasses', 'pathlib', 'typing', 'hashlib')\n"
+        "       if m in sys.modules])\n"
     )
     out = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", script],
                          capture_output=True, text=True, check=True).stdout

@@ -1,3 +1,5 @@
+import sys
+import threading
 from collections import Counter
 
 import pytest
@@ -276,6 +278,101 @@ def test_point_queries_match_oracle(query):
         assert got.members == naive_class(x, p)
         assert got.canonical == naive_canonical(x, p)
         assert mk.canonical(x, p) == got.canonical
+
+
+def member_scan(cls, u, side):
+    """The quotients of a division read member by member."""
+    if side == "left":
+        return {m[len(u):] for m in cls if m.startswith(u)}
+    return {m[:len(m) - len(u)] for m in cls if m.endswith(u)}
+
+
+@st.composite
+def divisions(draw):
+    """A presentation, two words of up to 6 letters, and a run of divisions
+    (which word, side, divisor) that alternates between their classes and
+    repeats on one.  A divisor is a prefix or suffix of a member of the
+    class, a random word, the empty word, the whole word, or a word one
+    letter longer than it."""
+    p = draw(presentations())
+    letters = "".join(p.letters)
+    vs = [draw(st.text(alphabet=letters, max_size=6)) for _ in range(2)]
+    calls = []
+    for _ in range(draw(st.integers(1, 8))):
+        x = draw(st.integers(0, 1))
+        v = vs[x]
+        kind = draw(st.sampled_from(["prefix", "suffix", "random", "empty", "whole", "longer"]))
+        if kind in ("prefix", "suffix"):
+            m = "".join(draw(st.sampled_from(sorted(naive_class(tuple(v), p)))))
+            j = draw(st.integers(0, len(m)))
+            u = m[:j] if kind == "prefix" else m[j:]
+        elif kind == "random":
+            u = draw(st.text(alphabet=letters, max_size=len(v) + 1))
+        else:
+            u = {"empty": "", "whole": v, "longer": v + letters[0]}[kind]
+        calls.append((x, draw(st.sampled_from(["left", "right"])), u))
+    return p, vs, calls
+
+
+@settings(max_examples=80, deadline=None)
+@given(divisions())
+@example((mk.parse_presentation("generators: a b\nrelation: ab = ba\n"), ["abab", "aab"],
+          [(0, "left", "a"), (1, "right", "ab"), (0, "left", "ab"), (0, "right", "b"),
+           (1, "left", ""), (0, "right", "abab")]))
+def test_quotients_match_the_member_scan(case):
+    p, vs, calls = case
+    eng = engine(p)
+    enc = [eng.encode(tuple(v)) for v in vs]
+    for v in enc:
+        # longer than v: nothing to divide, and v's class is not closed over
+        assert eng.quotients(v, v + eng.chars[0], "left") == set()
+        assert eng.quotients(v, v + eng.chars[0], "right") == set()
+        assert v not in eng._classes
+    classes = [{eng.encode(m) for m in naive_class(tuple(v), p)} for v in vs]
+    for x, side, u in calls:
+        v, u = enc[x], eng.encode(tuple(u))
+        got = eng.quotients(v, u, side)
+        assert got == (member_scan(classes[x], u, side) if len(u) <= len(v) else set())
+        if u and len(u) <= len(v):
+            # the kept text is that of the class just divided
+            assert eng._joined[0] is eng.closure(v)
+
+
+def test_racing_divisions_of_two_classes_agree():
+    # four threads, two a class, divide two classes of one engine, so each
+    # replaces the text another kept; every result must still be the member
+    # scan
+    p = mk.fixture("M6")
+    eng = engine(p)
+    vs = [eng.encode(W(v)) for v in ("cccbbddd", "ecbfdace")]
+    calls = []
+    for v in vs:
+        cls = eng.closure(v)
+        assert len(cls) >= 494  # many hits in one text
+        members = sorted(cls)
+        divisors = [(side, m[:j] if side == "left" else m[-j:])
+                    for m in members[::len(members) // 20][:20] for j in (1, 3, 5)
+                    for side in ("left", "right")]
+        calls.append([(v, side, u, member_scan(cls, u, side)) for side, u in divisors])
+    results = [[] for _ in range(4)]
+
+    def divide(t):
+        for i in range(200):
+            v, side, u, expected = calls[t % 2][(i + 7 * t) % len(calls[t % 2])]
+            results[t].append(eng.quotients(v, u, side) == expected)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=divide, args=(t,)) for t in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [[True] * 200] * 4
 
 
 @st.composite
