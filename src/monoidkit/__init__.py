@@ -20,7 +20,6 @@ from .presentation import (
     Word,
     expand_cyclic,
     fixture,
-    fixture_names,
     format_word,
     parse_presentation,
     parse_word,
@@ -43,11 +42,7 @@ from .garside import (
     verify_fundamental,
     verify_garside,
 )
-from .cancel import (
-    CancellationFailure,
-    add_relation,
-    search_failures,
-)
+from .cancel import CancellationFailure, search_failures
 from .gmn import (
     CASES,
     DivisionLawReport,
@@ -82,7 +77,6 @@ __all__ = [
     "Word",
     "expand_cyclic",
     "fixture",
-    "fixture_names",
     "format_word",
     "parse_presentation",
     "parse_word",
@@ -106,7 +100,6 @@ __all__ = [
     "verify_fundamental",
     "verify_garside",
     "CancellationFailure",
-    "add_relation",
     "search_failures",
     "CASES",
     "DivisionLawReport",

@@ -1,4 +1,4 @@
-"""Bounded search for cancellation failures, and single completion steps.
+"""Bounded search for cancellation failures.
 
 A monoid is cancellative when a*x*b = a*y*b forces x = y.  Any failing
 context contains a failing single-letter step (peel letters off the context
@@ -201,18 +201,3 @@ def search_failures(
     key = p.word_key
     failures.sort(key=lambda f: (len(f.x), f.side, key(f.context), key(f.x), key(f.y)))
     return failures
-
-
-
-
-def add_relation(p: Presentation, u: Word, v: Word) -> Presentation:
-    """A new presentation with u = v appended; flags are recomputed.
-
-    Requires |u| = |v| so homogeneity survives.  Equal words add nothing and
-    return an equal presentation.
-    """
-    if len(u) != len(v):
-        raise ValueError(f"relation sides have different lengths {len(u)} and {len(v)}")
-    if tuple(u) == tuple(v):
-        return Presentation(p.letters, p.relations)
-    return Presentation(p.letters, p.relations + (Relation(tuple(u), tuple(v)),))

@@ -13,7 +13,7 @@ A presentation source is a file (pipes included), a bundled fixture name or
 ``gmn:M,N`` for g(M,N).  ``gmn --m M --n N --run CMD ARGS`` is the same as
 ``CMD gmn:M,N ARGS``, with the flags given before ``--run`` in front, so
 flags given after CMD win.  ``--run`` takes the command first: a flag right
-after it is a usage error.
+after it is a usage error, and so is ``--emit`` beside it.
 
 The parser is built on the first run() and shared by every later one in the
 process (the re-parse of ``gmn --run`` included); each parse starts from a
@@ -59,7 +59,6 @@ from .groupwords import center_scan, group_equal, parse_signed_word
 from .presentation import (
     Presentation,
     fixture,
-    fixture_names,
     format_word,
     parse_presentation,
     parse_word,
@@ -175,8 +174,10 @@ def _load(src: str) -> Presentation:
         with open(src, "rb", buffering=0) as f:
             data = f.read()
     except OSError as e:
-        if src in fixture_names():
+        try:
             return fixture(src)
+        except ValueError:
+            pass
         if isinstance(e, FileNotFoundError):
             raise ParseError(f"no such file or fixture: {src}") from None
         # a path that is there but cannot be read: a directory, no permission
@@ -421,6 +422,8 @@ def run(argv: list[str]) -> int:
     try:
         args = _parse(argv, False, DEFAULT_CAP)
         if args.command == "gmn" and args.run is not None:
+            if args.emit:
+                return _fail(args, argv, 2, "gmn takes --emit or --run, not both")
             if not args.run:
                 return _fail(args, argv, 2, "gmn --run needs a command to run")
             cmd, *rest = args.run

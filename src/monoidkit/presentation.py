@@ -244,9 +244,9 @@ def format_word(p: Presentation, w: Word) -> str:
     return ("" if p.one_char_letters else ".").join(w)
 
 
-def parse_presentation(text: str, *, cancellative: bool | None = None) -> Presentation:
-    """The presentation a file's text declares, flagged ``cancellative``."""
-    return Presentation(*_parse_text(text), cancellative)
+def parse_presentation(text: str) -> Presentation:
+    """The presentation a file's text declares, with no cancellativity flag."""
+    return Presentation(*_parse_text(text))
 
 
 def _parse_text(text: str) -> tuple[tuple[str, ...], tuple[Relation, ...]]:
@@ -355,15 +355,14 @@ def _fixture_parts(key: str) -> tuple[tuple[str, ...], tuple[Relation, ...]]:
 def fixture(name: str) -> Presentation:
     """One of the bundled six-generator example presentations.
 
-    All three are homogeneous and letter-balanced but not cancellative.  A
-    fixture's text is parsed once per process; each call returns a new
-    presentation with its own engine.
+    The one rule for a bundled name, which every entry point asks: a hyphen
+    reads as an underscore (``M6p-completed``), any other name is a
+    ValueError.  All three are homogeneous and letter-balanced but not
+    cancellative.  A fixture's text is parsed once per process; each call
+    returns a new presentation with its own engine.
     """
     key = name.replace("-", "_")
     if key not in _FIXTURES:
         raise ValueError(f"unknown fixture {name!r}; choose from {sorted(_FIXTURES)}")
     return Presentation(*_fixture_parts(key), cancellative=False)
 
-
-def fixture_names() -> tuple[str, ...]:
-    return tuple(sorted(_FIXTURES))

@@ -163,13 +163,6 @@ class RewriteEngine:
 
     # -- closure ------------------------------------------------------------
 
-    def successors(self, w: str):
-        for pat, rep in self.rules:
-            i = w.find(pat)
-            while i >= 0:
-                yield w[:i] + rep + w[i + len(pat):]
-                i = w.find(pat, i + 1)
-
     def closure(self, w: str, cap: int = DEFAULT_CAP) -> frozenset[str]:
         """All words reachable from ``w``, read from the cache when there; a
         class closed over here is cached once complete."""
@@ -564,7 +557,14 @@ def neighbors(w: Word, p: Presentation) -> set[Word]:
     """All words one substitution away from ``w`` (either direction, any spot);
     like every operation, refused for a non-homogeneous presentation."""
     eng = engine(p)
-    return {eng.decode(v) for v in eng.successors(eng.encode(w))}
+    s = eng.encode(w)
+    found = set()
+    for pat, rep in eng.rules:
+        i = s.find(pat)
+        while i >= 0:
+            found.add(eng.decode(s[:i] + rep + s[i + len(pat):]))
+            i = s.find(pat, i + 1)
+    return found
 
 
 def equivalence_class(w: Word, p: Presentation, cap: int = DEFAULT_CAP) -> EquivClass:

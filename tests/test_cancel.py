@@ -175,16 +175,10 @@ def test_verify_claim_m6p_completed(m6pc, k):
     assert not mk.equal(lhs[:-1], rhs[:-1], m6pc)
 
 
-def test_add_relation_builds_completed_fixture(m6p, m6pc):
-    built = mk.add_relation(m6p, W("cefa"), W("efac"))
+def test_m6p_plus_one_relation_is_the_completed_fixture(m6p, m6pc):
+    built = mk.Presentation(m6p.letters, m6p.relations + (mk.Relation(W("cefa"), W("efac")),))
     assert built == m6pc
     assert mk.equal(W("cefa"), W("efac"), built)
-
-
-def test_add_relation_trivial_and_errors(m6):
-    assert mk.add_relation(m6, W("ab"), W("ab")) == m6
-    with pytest.raises(ValueError, match="length"):
-        mk.add_relation(m6, W("a"), W("ab"))
 
 
 def test_completion_does_not_terminate(m6pc):
@@ -195,7 +189,7 @@ def test_completion_does_not_terminate(m6pc):
         rhs = W("d" + "e" * k + "aabce")
         assert not mk.equal(lhs, rhs, p)
         assert mk.equal(lhs + W("f"), rhs + W("f"), p)
-        p = mk.add_relation(p, lhs, rhs)
+        p = mk.Presentation(p.letters, p.relations + (mk.Relation(lhs, rhs),))
         assert mk.equal(lhs, rhs, p)
     # after two completion steps the k=3 instance is still broken
     lhs = W("acd" + "e" * 4 + "ab")

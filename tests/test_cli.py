@@ -286,9 +286,26 @@ def test_presentation_from_pipe():
     assert "relations: 8" in parsed.stdout
 
 
-def test_bare_fixture_name_as_source(capsys):
+def test_bare_fixture_name_as_source(tmp_path, monkeypatch, capsys):
     assert run(["equal", "M6", "cdeaf", "ceafd"]) == 0
     assert "result: true" in capsys.readouterr().out
+    # fixture() alone decides what a bundled name is: a hyphen reads as an
+    # underscore for every command, as it does for claim
+    reports = []
+    for name in ("M6p-completed", "M6p_completed"):
+        assert run(["parse", name, "--json"]) == 0
+        rep = json_report(capsys)
+        reports.append((rep["result"], rep["presentation_sha"]))
+    assert reports[0] == reports[1]
+    assert run(["cancel-search", "M6p-completed", "--max-len", "8", "--json"]) == 0
+    assert json_report(capsys)["result"]["count"] == 6
+    assert run(["parse", "M7"]) == 2
+    assert capsys.readouterr().err == "error: no such file or fixture: M7\n"
+    # a readable file wins over the fixture of its name
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "M6").write_text("generators: a b\n")
+    assert run(["parse", "M6", "--json"]) == 0
+    assert json_report(capsys)["result"]["letters"] == ["a", "b"]
 
 
 def test_unreadable_path_names_the_reason(tmp_path, monkeypatch, capsys):
@@ -407,6 +424,13 @@ def test_usage_errors(capsys, tmp_path):
     assert run(["--json", *argv]) == 2
     rep = json_report(capsys)
     assert rep["error"] == "gmn --run needs a command to run" and rep["exit_code"] == 2
+    # --emit and --run exclude each other (--json goes first again)
+    both = ["gmn", "--m", "2", "--n", "2", "--emit", "--run", "parse"]
+    assert run(both) == 2
+    assert capsys.readouterr().err == "error: gmn takes --emit or --run, not both\n"
+    assert run(["--json", *both]) == 2
+    rep = json_report(capsys)
+    assert rep["error"] == "gmn takes --emit or --run, not both" and rep["exit_code"] == 2
     # a flag right after --run would be taken for the command; flags before
     # --run still choose the report
     for flag, head in ((["--json"], []), (["--cap", "5"], ["--json"])):
@@ -620,6 +644,7 @@ def test_dispatch_matches_the_full_parser(tmp_path, g22_file, monkeypatch, capsy
         ["equal", M6, "a"], ["equal", M6, "a", "b", "c"], ["equal", M6, "--", "a", "b"],
         ["divides", M6, "a", "b", "--side", "up"], ["mcm", M6, "a", "--max-len", "x"],
         ["gmn", "--m", "2", "--n", "2", "--run"], ["gmn", "--m", "2", "--n", "2", "--run", "bogus"],
+        ["gmn", "--m", "2", "--n", "2", "--emit", "--run", "parse"],
         ["nonsense"], [],
     ]
     dispatched = [_outcome(argv, capsys) for argv in argvs]
