@@ -31,8 +31,9 @@ from collections import namedtuple
 from collections.abc import Iterable
 from itertools import islice
 
+from .errors import CapExceededError
 from .presentation import Presentation, Word
-from .rewrite import DEFAULT_CAP, engine
+from .rewrite import DEFAULT_CAP, engine, _with_partial
 
 
 class DivisionResult(namedtuple("DivisionResult", "divides quotients")):
@@ -60,7 +61,10 @@ class McmReport(namedtuple("McmReport", "bound common_multiples minimal lcm_up_t
 
 def _divides(u: Word, v: Word, p: Presentation, cap: int, side: str) -> DivisionResult:
     eng = engine(p)
-    quots = eng.quotients(eng.encode(v), eng.encode(u), side, cap)
+    try:
+        quots = eng.quotients(eng.encode(v), eng.encode(u), side, cap)
+    except CapExceededError as e:
+        raise _with_partial(e, eng, v)
     if p.cancellative is True:
         # u*w = u*w' (or w*u = w'*u) forces w = w', so the quotients are one
         # class, and all of it: every w' equal to a quotient w has u*w' in the

@@ -29,7 +29,8 @@ class CapExceededError(MonoidError):
 
     This is a distinct third outcome, never to be conflated with a negative
     answer.  ``partial`` carries whatever was computed when available (for
-    class enumeration, an EquivClass with ``truncated=True``).
+    class enumeration and the point queries, an EquivClass with
+    ``truncated=True``).
     """
 
     def __init__(self, message: str = "enumeration cap exceeded", partial=None):

@@ -20,7 +20,13 @@ breadth-first.  Each BFS level is scanned as one string, its words joined
 by a separator letter that no rule contains, so every rule costs one
 ``find`` loop per level rather than one per member; homogeneity puts every
 member at the seed's length, so the position of a hit gives the word it lies
-in.  A division reads its quotients off the dividend's class the same way
+in.  In a letter-balanced presentation every member has the seed's letters,
+so past the seed's level only the rules whose patterns use those letters
+are scanned, from one table per letter set.  Each class is closed once: an
+equality search that meets its target pauses there, in one engine slot, and
+the next search or closure from a word it has reached resumes it rather
+than starting over; the slot is dropped once that class is cached.  A
+division reads its quotients off the dividend's class the same way
 (``quotients``): the class joined and fenced by the separator is one text,
 the members that start (end) with u are the hits of separator + u (u +
 separator), and the engine keeps the text of the last class divided for the
@@ -140,7 +146,16 @@ class RewriteEngine:
         self.rules: tuple[tuple[str, str], ...] = tuple(sorted(directed))
         self.one_way = tuple((a, b) for a, b in self.rules if a <= b)  # each relation once
         self.balanced = p.letter_balanced
+        # the rules as _bfs scans them, (pattern, replacement, pattern length):
+        # all of them, and in a letter-balanced presentation one table per
+        # letter set, of the rules whose patterns use only those letters
+        self._scan = tuple((a, b, len(a)) for a, b in self.rules)
+        self._scans: dict[frozenset[str], tuple[tuple[str, str, int], ...]] = {}
         self._classes: dict[str, _Class] = {}
+        # (word, seen, level, next, rules): the last search that met its
+        # target, paused in that level.  Never mutated: a resumer copies it,
+        # so a racing thread that replaces or drops it loses only the reuse
+        self._paused: tuple | None = None
         # (class, text): the last class divided, joined as quotients scans it
         self._joined: tuple[_Class, str] | None = None
         # _tables[m][c * |A| + a]: class of (class c of length m) * letter a;
@@ -175,7 +190,9 @@ class RewriteEngine:
         """Is ``target`` reachable from ``start`` (a different word)?  Early exit on success.
 
         A completed unsuccessful search caches the full class as a side
-        effect; a successful one caches nothing (the set is partial).
+        effect; a successful one pauses where it met the target, and the
+        next closure or search from a word it has reached resumes it
+        (``_bfs``).
         """
         seen = self._bfs(start, cap, target)
         if seen is not None:
@@ -183,13 +200,27 @@ class RewriteEngine:
         return seen is None
 
     def _store(self, seen: set[str]) -> _Class:
-        """Cache a complete class under each of its members."""
+        """Cache a complete class under each of its members, and drop the
+        paused search if it was one of this class."""
         cls = _Class(seen)
         cls.least = min(cls)
         classes = self._classes
         for m in cls:
             classes[m] = cls
+        paused = self._paused
+        if paused is not None and paused[0] in cls:
+            self._paused = None
         return cls
+
+    def _rules_for(self, w: str) -> tuple[tuple[str, str, int], ...]:
+        """The rules whose patterns use only letters of ``w``: in a
+        letter-balanced presentation every member of w's class has w's
+        letters, so no other rule can fire in it.  One table per letter set."""
+        key = frozenset(w)
+        rules = self._scans.get(key)
+        if rules is None:
+            rules = self._scans[key] = tuple(r for r in self._scan if key.issuperset(r[0]))
+        return rules
 
     def _bfs(self, w: str, cap: int, target: str | None = None) -> set[str] | None:
         """Breadth-first closure of ``w``: None as soon as ``target`` turns up,
@@ -199,25 +230,49 @@ class RewriteEngine:
         that no rule contains, so one ``find`` loop per rule covers the level.
         Every member has the length n of ``w`` (the presentation is
         homogeneous), so a hit at i lies in the word starting at i - i % (n+1).
+        Once the seed's level is scanned, a letter-balanced presentation
+        scans only the rules that its letters allow (``_rules_for``).
+
+        A search that meets its target pauses there: its seen set, the level
+        being scanned and the words found so far in the next level go to the
+        engine's one slot.  The next search or closure from a word the paused
+        one has reached, with a cap above its size, resumes a copy of it: it
+        scans that level again, where every hit up to the pause gives a word
+        already seen, so the walk goes on exactly as if it had never stopped.
+        A target already reached answers at once; a search that hits the cap
+        pauses nothing.
         """
-        seen = {w}
-        frontier = [w]
+        paused = self._paused
+        if paused is not None:
+            reached = paused[1]
+            if target in reached:
+                w, target = target, w  # reachability is symmetric
+            if w not in reached:
+                paused = None
+            elif target in reached:
+                return None
+            elif cap <= len(reached):
+                paused = None
+        if paused is None:
+            seen, level, nxt, rules = {w}, w, [], self._scan
+        else:
+            _, seen, level, nxt, rules = paused
+            seen, nxt = set(seen), nxt[:]
         n = len(w)
         step = n + 1
         sep = self.separator
-        rules = self.rules
-        while frontier:
-            level = sep.join(frontier)
+        while True:
             find = level.find
-            nxt = []
-            for pat, rep in rules:
-                k = len(pat)
+            for pat, rep, k in rules:
                 i = find(pat)
                 while i >= 0:
                     s = i - i % step
                     v = level[s:i] + rep + level[i + k:s + n]
                     if v not in seen:
                         if v == target:
+                            seen.add(v)
+                            nxt.append(v)
+                            self._paused = w, seen, level, nxt, rules
                             return None
                         if len(seen) >= cap:
                             err = CapExceededError(
@@ -230,8 +285,12 @@ class RewriteEngine:
                         seen.add(v)
                         nxt.append(v)
                     i = find(pat, i + 1)
-            frontier = nxt
-        return seen
+            if not nxt:
+                return seen
+            if rules is self._scan and self.balanced:
+                rules = self._rules_for(w)
+            level = sep.join(nxt)
+            nxt = []
 
     def least_words(self, words: Iterable[str]) -> list[str]:
         """The least word of each class in ``words``, a union of classes of one
@@ -574,24 +633,36 @@ def equivalence_class(w: Word, p: Presentation, cap: int = DEFAULT_CAP) -> Equiv
     ``cap`` members are found.
     """
     eng = engine(p)
-    s = eng.encode(w)
     try:
-        cls = eng.closure(s, cap)
+        cls = eng.closure(eng.encode(w), cap)
     except CapExceededError as e:
-        raw = getattr(e, "raw_partial", frozenset())
-        members = frozenset(map(eng.decode, raw))
-        e.partial = EquivClass(w, members, eng.decode(min(raw)), truncated=True)
-        raise
+        raise _with_partial(e, eng, w)
     return EquivClass(w, frozenset(map(eng.decode, cls)), eng.decode(cls.least))
 
 
 def equal(u: Word, v: Word, p: Presentation, cap: int = DEFAULT_CAP) -> bool:
     """Monoid equality; CapExceededError means undecided, never False."""
     eng = engine(p)
-    return eng.equal_raw(eng.encode(u), eng.encode(v), cap)
+    try:
+        return eng.equal_raw(eng.encode(u), eng.encode(v), cap)
+    except CapExceededError as e:
+        raise _with_partial(e, eng, u, v)
 
 
 def canonical(w: Word, p: Presentation, cap: int = DEFAULT_CAP) -> Word:
     """Lexicographically least member of the class of ``w``."""
     eng = engine(p)
-    return eng.decode(eng.closure(eng.encode(w), cap).least)
+    try:
+        return eng.decode(eng.closure(eng.encode(w), cap).least)
+    except CapExceededError as e:
+        raise _with_partial(e, eng, w)
+
+
+def _with_partial(e: CapExceededError, eng: RewriteEngine, *words: Word) -> CapExceededError:
+    """``e`` with its ``partial`` set: the truncated class, decoded, of the one
+    of ``words`` whose class was being closed (the one in ``raw_partial``)."""
+    raw = e.raw_partial
+    seed = next(w for w in words if eng.encode(w) in raw)
+    e.partial = EquivClass(seed, frozenset(map(eng.decode, raw)), eng.decode(min(raw)),
+                           truncated=True)
+    return e

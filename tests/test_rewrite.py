@@ -153,19 +153,34 @@ def test_cap_exceeded_carries_partial():
     assert partial.seed == ("s", "t1", "t2")
     # caps beyond the class size change nothing
     assert len(mk.equivalence_class(("s", "t1", "t2"), p, cap=3)) == 3
-    # every cap below the class size (6 here): a partial of exactly cap
-    # members, and equality stays undecided, never False
+    # every cap below the class size (6 here): each point query gives a
+    # decoded partial of exactly cap members of the class being closed, and
+    # equality stays undecided, never False
     word, other = W("u1.s.t1.t2"), W("s.t1.t2.u1")
     cls = naive_class(word, p)
-    assert other not in cls
+    assert other not in cls and len(naive_class(other, p)) == 6
     for cap in range(1, 6):
-        fresh = mk.build_gmn(2, 2).presentation
-        with pytest.raises(CapExceededError) as info:
-            mk.equivalence_class(word, fresh, cap=cap)
-        assert len(info.value.partial.members) == cap
-        assert info.value.partial.members <= cls
-        with pytest.raises(CapExceededError):
-            mk.equal(word, other, mk.build_gmn(2, 2).presentation, cap=cap)
+        calls = {
+            "equivalence_class": (word, lambda q: mk.equivalence_class(word, q, cap=cap)),
+            "equal": (word, lambda q: mk.equal(word, other, q, cap=cap)),
+            # the class closed is that of the second word
+            "equal-second": (other, lambda q: mk.equal(other, word, q, cap=cap)),
+            "canonical": (word, lambda q: mk.canonical(word, q, cap=cap)),
+            "left_divides": (word, lambda q: mk.left_divides(("u1",), word, q, cap=cap)),
+            "right_divides": (word, lambda q: mk.right_divides(("t2",), word, q, cap=cap)),
+        }
+        for name, (seed, call) in calls.items():
+            fresh = mk.build_gmn(2, 2).presentation
+            with pytest.raises(CapExceededError) as info:
+                call(fresh)
+            partial = info.value.partial
+            assert partial.truncated, name
+            assert partial.seed == seed, name
+            assert len(partial.members) == cap, name
+            assert partial.members <= naive_class(seed, p), name
+            assert partial.canonical == min(partial.members, key=p.word_key), name
+            eng = engine(fresh)
+            assert set(map(eng.decode, info.value.raw_partial)) == partial.members, name
         for m in cls:
             try:
                 assert mk.equal(word, m, mk.build_gmn(2, 2).presentation, cap=cap)
@@ -278,6 +293,158 @@ def test_point_queries_match_oracle(query):
         assert got.members == naive_class(x, p)
         assert got.canonical == naive_canonical(x, p)
         assert mk.canonical(x, p) == got.canonical
+
+
+@st.composite
+def paused_runs(draw):
+    """A presentation and a run of point queries on one engine over words of
+    one length, 2 to 6.  Each call names a query, a word, a second word and a
+    cut: equality of the two words, the canonical form or class of the first,
+    or its quotients by a prefix (suffix) of the second.  First words come
+    from the classes of two seeds or at random, second words mostly from the
+    class of the first, so starts repeat, targets may be ones a paused search
+    has reached or lie in another class, and closures may begin from a
+    reached word."""
+    p = draw(presentations())
+    letters = "".join(p.letters)
+    n = draw(st.integers(2, 6))
+    text = st.text(alphabet=letters, min_size=n, max_size=n).map(tuple)
+    seeds = [draw(text) for _ in range(2)]
+    members = st.sampled_from(sorted(naive_class(seeds[0], p) | naive_class(seeds[1], p)))
+    word = st.one_of(members, members, members, text)
+    kinds = st.sampled_from(["equal"] * 4 + ["canonical", "equivalence_class", "left", "right"])
+    calls = []
+    for _ in range(draw(st.integers(1, 12))):
+        x = draw(word)
+        y = draw(st.one_of(st.sampled_from(sorted(naive_class(x, p))), word))
+        calls.append((draw(kinds), x, y, draw(st.integers(0, n))))
+    return p, calls
+
+
+# bbaa pauses the search from abab; baba and abba are reached by it or lie
+# past it, and bbaa's closure resumes it
+@settings(max_examples=80, deadline=None)
+@given(paused_runs())
+@example((mk.parse_presentation("generators: a b\nrelation: ab = ba\n"),
+          [("equal", W("abab"), W("bbaa"), 0), ("equal", W("baba"), W("abab"), 0),
+           ("equal", W("abba"), W("aaab"), 0), ("left", W("bbaa"), W("baab"), 2),
+           ("equal", W("aabb"), W("baba"), 0), ("canonical", W("abba"), W("abba"), 0)]))
+# the class ab - cc - ca is a chain: ca lies only past the target cc, so the
+# resumed closure of ab must still go on from cc
+@example((mk.parse_presentation("generators: a b c\nrelation: ab = cc\nrelation: cc = ca\n"),
+          [("equal", W("ab"), W("cc"), 0), ("equivalence_class", W("ab"), W("ab"), 0)]))
+def test_resumed_searches_match_oracle(run):
+    p, calls = run
+    eng = engine(p)
+    classes = {}
+    for kind, x, y, j in calls:
+        cls = classes.get(x) or classes.setdefault(x, naive_class(x, p))
+        if kind == "equal":
+            assert mk.equal(x, y, p) == (y in cls)
+        elif kind == "canonical":
+            assert mk.canonical(x, p) == min(cls, key=p.word_key)
+        elif kind == "equivalence_class":
+            assert mk.equivalence_class(x, p).members == cls
+        else:
+            u = eng.encode(y[:j] if kind == "left" else y[len(y) - j:])
+            expected = member_scan({eng.encode(m) for m in cls}, u, kind)
+            assert eng.quotients(eng.encode(x), u, kind) == expected
+        # one paused search at most, and never one of a class already cached
+        assert eng._paused is None or eng._paused[0] not in eng._classes
+    assert len(eng._scans) <= 2 ** len(p.letters)
+
+
+def test_a_paused_search_keeps_the_cap():
+    p = mk.fixture("M6")
+    eng = engine(p)
+    members = sorted(naive_class(W("cccbbddd"), p))
+    start, target = members[0], members[300]
+    assert mk.equal(start, target, p)
+    paused = eng._paused
+    size = len(paused[1])
+    assert eng.encode(target) in paused[1] and 1 < size < len(members)
+    # at or below the paused size the closure starts afresh and stops at cap;
+    # a cap error pauses nothing, so the slot keeps the search
+    for cap in (size, size - 1, 1):
+        with pytest.raises(CapExceededError) as info:
+            mk.equivalence_class(start, p, cap=cap)
+        assert len(info.value.partial.members) == cap
+        assert info.value.partial.members <= set(members)
+        assert eng._paused is paused
+    # above it the closure resumes from the paused words, and still stops at
+    # exactly cap
+    with pytest.raises(CapExceededError) as info:
+        mk.canonical(target, p, cap=size + 5)
+    assert paused[1] < info.value.raw_partial and len(info.value.raw_partial) == size + 5
+    assert eng._paused is paused
+    # a target already reached answers at once
+    assert mk.equal(target, start, p, cap=1)
+    # a search whose start is not reached resumes from its target, and pauses
+    # again further on
+    last = members[-1]
+    assert eng.encode(last) not in paused[1]
+    assert mk.equal(last, start, p)
+    assert paused[1] < eng._paused[1] and eng.encode(last) in eng._paused[1]
+    # the class completes, is cached, and the slot is dropped
+    assert mk.equivalence_class(target, p, cap=len(members)).members == set(members)
+    assert eng._paused is None
+
+
+def test_racing_searches_on_the_paused_slot_agree():
+    # four threads search and close two classes of one engine, all in one
+    # class for 20 calls and then in the other, so each resumes, replaces or
+    # drops a search another paused; every answer must still be the oracle's
+    p = mk.fixture("M6")
+    eng = engine(p)
+    classes = [sorted(eng.encode(m) for m in naive_class(W(v), p))
+               for v in ("cccbbddd", "ecbfdace")]
+    results = [[] for _ in range(4)]
+
+    def run(t):
+        for i in range(120):
+            mine, other = classes[i // 20 % 2], classes[i // 20 % 2 - 1]
+            a = mine[(37 * i + 11 * t) % len(mine)]
+            b = mine[(53 * i + 29 * t + 1) % len(mine)]
+            if i % 5 == 4:
+                # a closure past the class cache, from a word a search may have reached
+                results[t].append(sorted(eng._store(eng._bfs(a, mk.rewrite.DEFAULT_CAP))) == mine)
+            elif i % 7 == 6:
+                results[t].append(not eng.closure_search(a, other[i % len(other)]))
+            else:
+                results[t].append(a == b or eng.closure_search(a, b))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(t,)) for t in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [[True] * 120] * 4
+
+
+def test_rule_tables_only_where_letters_are_conserved():
+    p = mk.parse_presentation("generators: a b c\nrelation: ab = cc\n")
+    assert p.homogeneous and not p.letter_balanced
+    assert mk.equal(W("ab"), W("cc"), p)
+    assert mk.equivalence_class(W("ab"), p).members == {W("ab"), W("cc")}
+    # cabc is reached only from cccc, two levels past the seed: the rules
+    # whose patterns use only a and b would never reach it
+    assert mk.equal(W("abab"), W("cabc"), p)
+    assert mk.equivalence_class(W("abab"), p).members == naive_class(W("abab"), p)
+    assert len(naive_class(W("abab"), p)) == 5
+    assert engine(p)._scans == {}
+    # in M6 a seed without b scans one table, of fewer rules than all
+    m6 = mk.fixture("M6")
+    eng = engine(m6)
+    w = W("cdeafcde")
+    assert mk.equivalence_class(w, m6).members == naive_class(w, m6)
+    assert list(eng._scans) == [frozenset(eng.encode(w))]
+    assert 0 < len(eng._scans[frozenset(eng.encode(w))]) < len(eng.rules)
 
 
 def member_scan(cls, u, side):
