@@ -212,7 +212,6 @@ def _do_parse(args, p):
 def _do_class(args, p):
     w = parse_word(p, args.word)
     cls = equivalence_class(w, p, args.cap)
-    members = p.sorted_words(cls.members)
     payload = {
         "word": w,
         "size": len(cls),
@@ -220,11 +219,11 @@ def _do_class(args, p):
         "truncated": cls.truncated,
     }
     lines = [f"size: {len(cls)}", f"canonical: {format_word(p, cls.canonical)}"]
-    if args.full or len(members) <= _MEMBER_LIMIT:
-        payload["members"] = members
+    if args.full or len(cls) <= _MEMBER_LIMIT:
+        payload["members"] = members = p.sorted_words(cls.members)
         lines += [f"  {format_word(p, m)}" for m in members]
     else:
-        lines.append(f"  ({len(members)} members; use --full to list)")
+        lines.append(f"  ({len(cls)} members; use --full to list)")
     return payload, lines, {}, 0, p
 
 

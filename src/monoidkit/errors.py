@@ -30,7 +30,10 @@ class CapExceededError(MonoidError):
     This is a distinct third outcome, never to be conflated with a negative
     answer.  ``partial`` carries whatever was computed when available (for
     class enumeration and the point queries, an EquivClass with
-    ``truncated=True``).
+    ``truncated=True``).  An error raised by the rewriting engine also has
+    ``raw_partial``, the same words still encoded as the engine keeps them;
+    ``bench/tracing.py`` and the tests read it until it is retired (ROADMAP
+    item 2b).
     """
 
     def __init__(self, message: str = "enumeration cap exceeded", partial=None):

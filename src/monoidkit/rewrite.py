@@ -22,15 +22,12 @@ by a separator letter that no rule contains, so every rule costs one
 member at the seed's length, so the position of a hit gives the word it lies
 in.  In a letter-balanced presentation every member has the seed's letters,
 so past the seed's level only the rules whose patterns use those letters
-are scanned, from one table per letter set.  Each class is closed once: an
-equality search that meets its target pauses there, in one engine slot, and
-the next search or closure from a word it has reached resumes it rather
-than starting over; the slot is dropped once that class is cached.  A
-division reads its quotients off the dividend's class the same way
-(``quotients``): the class joined and fenced by the separator is one text,
-the members that start (end) with u are the hits of separator + u (u +
-separator), and the engine keeps the text of the last class divided for the
-next division of that class.  A complete class is cached per engine under
+are scanned, from one table per letter set.  A division reads its
+quotients off the dividend's class the same way (``quotients``): the class
+joined and fenced by the separator is one text, the members that start
+(end) with u are the hits of separator + u (u + separator), and the engine
+keeps the text of the last class divided for the next division of that
+class.  A complete class is cached per engine under
 each of its members, together with its least word, so a canonical form read
 from the cache costs O(1).  A union of classes of one length already in
 hand, such as the quotients of a division or the prefixes of a class, gives
@@ -152,10 +149,6 @@ class RewriteEngine:
         self._scan = tuple((a, b, len(a)) for a, b in self.rules)
         self._scans: dict[frozenset[str], tuple[tuple[str, str, int], ...]] = {}
         self._classes: dict[str, _Class] = {}
-        # (word, seen, level, next, rules): the last search that met its
-        # target, paused in that level.  Never mutated: a resumer copies it,
-        # so a racing thread that replaces or drops it loses only the reuse
-        self._paused: tuple | None = None
         # (class, text): the last class divided, joined as quotients scans it
         self._joined: tuple[_Class, str] | None = None
         # _tables[m][c * |A| + a]: class of (class c of length m) * letter a;
@@ -190,9 +183,7 @@ class RewriteEngine:
         """Is ``target`` reachable from ``start`` (a different word)?  Early exit on success.
 
         A completed unsuccessful search caches the full class as a side
-        effect; a successful one pauses where it met the target, and the
-        next closure or search from a word it has reached resumes it
-        (``_bfs``).
+        effect; a successful one keeps nothing.
         """
         seen = self._bfs(start, cap, target)
         if seen is not None:
@@ -200,16 +191,12 @@ class RewriteEngine:
         return seen is None
 
     def _store(self, seen: set[str]) -> _Class:
-        """Cache a complete class under each of its members, and drop the
-        paused search if it was one of this class."""
+        """Cache a complete class under each of its members."""
         cls = _Class(seen)
         cls.least = min(cls)
         classes = self._classes
         for m in cls:
             classes[m] = cls
-        paused = self._paused
-        if paused is not None and paused[0] in cls:
-            self._paused = None
         return cls
 
     def _rules_for(self, w: str) -> tuple[tuple[str, str, int], ...]:
@@ -232,32 +219,8 @@ class RewriteEngine:
         homogeneous), so a hit at i lies in the word starting at i - i % (n+1).
         Once the seed's level is scanned, a letter-balanced presentation
         scans only the rules that its letters allow (``_rules_for``).
-
-        A search that meets its target pauses there: its seen set, the level
-        being scanned and the words found so far in the next level go to the
-        engine's one slot.  The next search or closure from a word the paused
-        one has reached, with a cap above its size, resumes a copy of it: it
-        scans that level again, where every hit up to the pause gives a word
-        already seen, so the walk goes on exactly as if it had never stopped.
-        A target already reached answers at once; a search that hits the cap
-        pauses nothing.
         """
-        paused = self._paused
-        if paused is not None:
-            reached = paused[1]
-            if target in reached:
-                w, target = target, w  # reachability is symmetric
-            if w not in reached:
-                paused = None
-            elif target in reached:
-                return None
-            elif cap <= len(reached):
-                paused = None
-        if paused is None:
-            seen, level, nxt, rules = {w}, w, [], self._scan
-        else:
-            _, seen, level, nxt, rules = paused
-            seen, nxt = set(seen), nxt[:]
+        seen, level, nxt, rules = {w}, w, [], self._scan
         n = len(w)
         step = n + 1
         sep = self.separator
@@ -270,9 +233,6 @@ class RewriteEngine:
                     v = level[s:i] + rep + level[i + k:s + n]
                     if v not in seen:
                         if v == target:
-                            seen.add(v)
-                            nxt.append(v)
-                            self._paused = w, seen, level, nxt, rules
                             return None
                         if len(seen) >= cap:
                             err = CapExceededError(
@@ -646,7 +606,7 @@ def equal(u: Word, v: Word, p: Presentation, cap: int = DEFAULT_CAP) -> bool:
     try:
         return eng.equal_raw(eng.encode(u), eng.encode(v), cap)
     except CapExceededError as e:
-        raise _with_partial(e, eng, u, v)
+        raise _with_partial(e, eng, u)
 
 
 def canonical(w: Word, p: Presentation, cap: int = DEFAULT_CAP) -> Word:
@@ -658,11 +618,10 @@ def canonical(w: Word, p: Presentation, cap: int = DEFAULT_CAP) -> Word:
         raise _with_partial(e, eng, w)
 
 
-def _with_partial(e: CapExceededError, eng: RewriteEngine, *words: Word) -> CapExceededError:
-    """``e`` with its ``partial`` set: the truncated class, decoded, of the one
-    of ``words`` whose class was being closed (the one in ``raw_partial``)."""
+def _with_partial(e: CapExceededError, eng: RewriteEngine, seed: Word) -> CapExceededError:
+    """``e`` with its ``partial`` set: the truncated class, decoded, of
+    ``seed``, the word whose class was being closed."""
     raw = e.raw_partial
-    seed = next(w for w in words if eng.encode(w) in raw)
     e.partial = EquivClass(seed, frozenset(map(eng.decode, raw)), eng.decode(min(raw)),
                            truncated=True)
     return e

@@ -1,5 +1,7 @@
+import gc
 import sys
 import threading
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -296,15 +298,15 @@ def test_point_queries_match_oracle(query):
 
 
 @st.composite
-def paused_runs(draw):
+def query_runs(draw):
     """A presentation and a run of point queries on one engine over words of
     one length, 2 to 6.  Each call names a query, a word, a second word and a
     cut: equality of the two words, the canonical form or class of the first,
     or its quotients by a prefix (suffix) of the second.  First words come
     from the classes of two seeds or at random, second words mostly from the
-    class of the first, so starts repeat, targets may be ones a paused search
-    has reached or lie in another class, and closures may begin from a
-    reached word."""
+    class of the first, so starts repeat, targets may be ones an earlier
+    search has reached or lie in another class, and closures may begin from
+    a word an earlier search stopped at."""
     p = draw(presentations())
     letters = "".join(p.letters)
     n = draw(st.integers(2, 6))
@@ -321,19 +323,19 @@ def paused_runs(draw):
     return p, calls
 
 
-# bbaa pauses the search from abab; baba and abba are reached by it or lie
-# past it, and bbaa's closure resumes it
+# the search from abab stops at bbaa; baba and abba are reached by it or lie
+# past it, and a division of bbaa then closes its class
 @settings(max_examples=80, deadline=None)
-@given(paused_runs())
+@given(query_runs())
 @example((mk.parse_presentation("generators: a b\nrelation: ab = ba\n"),
           [("equal", W("abab"), W("bbaa"), 0), ("equal", W("baba"), W("abab"), 0),
            ("equal", W("abba"), W("aaab"), 0), ("left", W("bbaa"), W("baab"), 2),
            ("equal", W("aabb"), W("baba"), 0), ("canonical", W("abba"), W("abba"), 0)]))
 # the class ab - cc - ca is a chain: ca lies only past the target cc, so the
-# resumed closure of ab must still go on from cc
+# closure of ab after the search must still go on from cc
 @example((mk.parse_presentation("generators: a b c\nrelation: ab = cc\nrelation: cc = ca\n"),
           [("equal", W("ab"), W("cc"), 0), ("equivalence_class", W("ab"), W("ab"), 0)]))
-def test_resumed_searches_match_oracle(run):
+def test_point_query_runs_match_oracle(run):
     p, calls = run
     eng = engine(p)
     classes = {}
@@ -349,51 +351,35 @@ def test_resumed_searches_match_oracle(run):
             u = eng.encode(y[:j] if kind == "left" else y[len(y) - j:])
             expected = member_scan({eng.encode(m) for m in cls}, u, kind)
             assert eng.quotients(eng.encode(x), u, kind) == expected
-        # one paused search at most, and never one of a class already cached
-        assert eng._paused is None or eng._paused[0] not in eng._classes
     assert len(eng._scans) <= 2 ** len(p.letters)
 
 
-def test_a_paused_search_keeps_the_cap():
+def test_a_successful_search_keeps_no_partial_class():
+    # a true equal stops early, before its class is complete: the words it
+    # has seen go with it, and only the rule table of the seed's letters
+    # stays on the engine (a few hundred bytes)
     p = mk.fixture("M6")
-    eng = engine(p)
     members = sorted(naive_class(W("cccbbddd"), p))
-    start, target = members[0], members[300]
-    assert mk.equal(start, target, p)
-    paused = eng._paused
-    size = len(paused[1])
-    assert eng.encode(target) in paused[1] and 1 < size < len(members)
-    # at or below the paused size the closure starts afresh and stops at cap;
-    # a cap error pauses nothing, so the slot keeps the search
-    for cap in (size, size - 1, 1):
-        with pytest.raises(CapExceededError) as info:
-            mk.equivalence_class(start, p, cap=cap)
-        assert len(info.value.partial.members) == cap
-        assert info.value.partial.members <= set(members)
-        assert eng._paused is paused
-    # above it the closure resumes from the paused words, and still stops at
-    # exactly cap
-    with pytest.raises(CapExceededError) as info:
-        mk.canonical(target, p, cap=size + 5)
-    assert paused[1] < info.value.raw_partial and len(info.value.raw_partial) == size + 5
-    assert eng._paused is paused
-    # a target already reached answers at once
-    assert mk.equal(target, start, p, cap=1)
-    # a search whose start is not reached resumes from its target, and pauses
-    # again further on
-    last = members[-1]
-    assert eng.encode(last) not in paused[1]
-    assert mk.equal(last, start, p)
-    assert paused[1] < eng._paused[1] and eng.encode(last) in eng._paused[1]
-    # the class completes, is cached, and the slot is dropped
-    assert mk.equivalence_class(target, p, cap=len(members)).members == set(members)
-    assert eng._paused is None
+    start, target = members[0], members[-1]
+    engine(p).encode(start)  # build the engine before measuring
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert mk.equal(start, target, p)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 4096, kept
+    assert not engine(p)._classes
 
 
-def test_racing_searches_on_the_paused_slot_agree():
+def test_racing_searches_on_the_class_cache_agree():
     # four threads search and close two classes of one engine, all in one
-    # class for 20 calls and then in the other, so each resumes, replaces or
-    # drops a search another paused; every answer must still be the oracle's
+    # class for 20 calls and then in the other, so each may close a class
+    # another is closing or read one another has just cached; every answer
+    # must still be the oracle's
     p = mk.fixture("M6")
     eng = engine(p)
     classes = [sorted(eng.encode(m) for m in naive_class(W(v), p))
@@ -406,7 +392,7 @@ def test_racing_searches_on_the_paused_slot_agree():
             a = mine[(37 * i + 11 * t) % len(mine)]
             b = mine[(53 * i + 29 * t + 1) % len(mine)]
             if i % 5 == 4:
-                # a closure past the class cache, from a word a search may have reached
+                # a closure past the class cache, whose store races the others' reads
                 results[t].append(sorted(eng._store(eng._bfs(a, mk.rewrite.DEFAULT_CAP))) == mine)
             elif i % 7 == 6:
                 results[t].append(not eng.closure_search(a, other[i % len(other)]))
