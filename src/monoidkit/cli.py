@@ -65,7 +65,7 @@ from .presentation import (
     presentation_digest,
     serialize_presentation,
 )
-from .rewrite import DEFAULT_CAP, equal, equivalence_class
+from .rewrite import DEFAULT_CAP, engine, equal
 
 _MEMBER_LIMIT = 200  # class members echoed without --full
 _LEAST = {"--cap": 1, "--max-len": 0, "--verify-to": 0}  # else exit 2
@@ -210,17 +210,18 @@ def _do_parse(args, p):
 
 
 def _do_class(args, p):
+    # read off the encoded class: only the members listed are decoded, and
+    # a cap error is reported without its partial class
     w = parse_word(p, args.word)
-    cls = equivalence_class(w, p, args.cap)
-    payload = {
-        "word": w,
-        "size": len(cls),
-        "canonical": cls.canonical,
-        "truncated": cls.truncated,
-    }
-    lines = [f"size: {len(cls)}", f"canonical: {format_word(p, cls.canonical)}"]
+    eng = engine(p)
+    cls = eng.closure(eng.encode(w), args.cap)
+    canon = eng.decode(cls.least)
+    payload = {"word": w, "size": len(cls), "canonical": canon, "truncated": False}
+    lines = [f"size: {len(cls)}", f"canonical: {format_word(p, canon)}"]
     if args.full or len(cls) <= _MEMBER_LIMIT:
-        payload["members"] = members = p.sorted_words(cls.members)
+        # members share one length and chr order is declaration order, so
+        # this is the order of p.sorted_words
+        payload["members"] = members = list(map(eng.decode, sorted(cls)))
         lines += [f"  {format_word(p, m)}" for m in members]
     else:
         lines.append(f"  ({len(cls)} members; use --full to list)")

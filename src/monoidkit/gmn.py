@@ -168,13 +168,17 @@ def check_division_law(
     Case i is left cancellation itself: it is read off ``search_failures``,
     one instance (and one violation v X, v Y) per left failure, so v runs
     over one letter per letter class, as the search does; that differs from
-    every letter only when two generators are equal.  Cases ii-vi differ only
-    in their heads a, b and their witness pairs, and one ``_check_law`` runs
-    them all: both sides of every instance and every witness pair are read
-    off the graded class tables (``RewriteEngine.left_levels``, one
-    generator per prefix), never by blind enumeration, and violations come
-    by class of the product, then (a, X), then (b, Y).  ``cap`` bounds
-    closures only, and the check builds none.
+    every letter only when two generators are equal.  Laws iii/iv are laws
+    v/vi with the head t_i replaced by s and no w(u) in front: D1s is
+    t1..tm, and s left-divides no one-family word, so one witness rule
+    serves iii-vi, reading every quotient off ``delta_quotient``.  Cases
+    ii-vi differ only in their heads a, b and their witness pairs, and one
+    ``_check_law`` runs them all: both sides of every instance and every
+    witness pair are read off the graded class tables
+    (``RewriteEngine.left_levels``, one generator per prefix), never by
+    blind enumeration, and violations come by class of the product, then
+    (a, X), then (b, Y).  ``cap`` bounds closures only, and the check builds
+    none.
     """
     if case not in CASES:
         raise ValueError(f"case must be one of {CASES}")
@@ -185,48 +189,35 @@ def check_division_law(
     else:
         eng = engine(ctx.presentation)
         family = 2 if case in ("iv", "vi") else 1
-        fam, other = _fam_chars(ctx, eng, family), _fam_chars(ctx, eng, 3 - family)
-
-        def split(w):
-            # R(w), and the quotient of delta_family by C(w)
-            rest, run = split_tail_run(ctx, eng.decode(w))
-            return eng.encode(rest), eng.encode(delta_quotient(ctx, family, run))
-
+        fam, other = eng.encode(ctx.family(family)), eng.encode(ctx.family(3 - family))
         if case == "ii":
             heads = fam, other
 
             def witnesses(ti, uj, xlen):
                 return [(uj, ti)]
-        elif case in ("iii", "iv"):
-            heads = [eng.encode(ctx.delta[:1])], _words(fam, 1, max_len)
-
-            def witnesses(s, w, xlen):
-                rest, quot = split(w)
-                return [("".join(fam) + rest, quot)]  # "".join(fam) = D1s
         else:
-            heads = fam, _words(fam, 1, max_len)
+            s = eng.encode(ctx.delta[:1])
+            heads = (s if case in ("iii", "iv") else fam), _words(fam, 1, max_len)
+            quot = {a: eng.encode(delta_quotient(ctx, family, eng.decode(a))) for a in heads[0]}
+            tails = {}  # w: R(w), D_F/C(w)
+            for w in heads[1]:
+                rest, run = split_tail_run(ctx, eng.decode(w))
+                tails[w] = eng.encode(rest), eng.encode(delta_quotient(ctx, family, run))
 
-            def witnesses(ti, w, xlen):
-                if w[0] == ti:
-                    return None  # t_i left-divides w(t)
-                rest, quot = split(w)
-                d1ti = eng.encode(delta_quotient(ctx, family, eng.decode(ti)))
-                return [
-                    (wu + d1ti + rest, wu + quot)
-                    for wu in _words(other, 0, xlen - len(d1ti) - len(rest))
-                    if not wu.endswith("".join(other))
-                ]
+            def witnesses(a, w, xlen):
+                if w[0] == a:
+                    return None  # a left-divides w
+                rest, qw = tails[w]
+                # the w(u) in front: none at a = s, else every one that fits X
+                wus = [""] if a == s else _words(other, 0, xlen - len(quot[a]) - len(rest))
+                return [(wu + quot[a] + rest, wu + qw) for wu in wus if not wu.endswith(other)]
         instances, raw = _check_law(eng, max_len, *heads, witnesses)
         pairs = [(eng.decode(a), eng.decode(b)) for a, b in raw]
     violations = tuple(DivisionLawViolation(case, a, b) for a, b in pairs)
     return DivisionLawReport(case, max_len, instances, violations)
 
 
-def _fam_chars(ctx: GmnContext, eng, family: int) -> tuple[str, ...]:
-    return tuple(eng.encode(ctx.family(family)))
-
-
-def _words(letters: tuple[str, ...], lo: int, hi: int) -> list[str]:
+def _words(letters: str, lo: int, hi: int) -> list[str]:
     """Every word over ``letters`` of length lo..hi, sorted."""
     return sorted("".join(w) for k in range(lo, hi + 1) for w in product(letters, repeat=k))
 

@@ -229,6 +229,10 @@ def test_parse_word_and_format(m6, p22):
     assert mk.format_word(m6, W("abc")) == "abc"
     assert mk.format_word(p22, ("s", "t1")) == "s.t1"
     assert mk.format_word(m6, ()) == "1"
+    # empty dotted tokens are dropped, whether the names are long or short
+    assert mk.parse_word(p22, "s..t1") == ("s", "t1")
+    assert mk.parse_word(p22, "t1.") == ("t1",)
+    assert mk.parse_word(m6, "a..b") == W("ab")
     with pytest.raises(ParseError):
         mk.parse_word(m6, "xyz")
     # the signed-word suffix "~" is no part of a positive word
